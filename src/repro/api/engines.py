@@ -35,6 +35,7 @@ native extension build.
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict
 
 from repro.api.registry import REGISTRY
@@ -49,9 +50,21 @@ def _event_engine():
 
 @REGISTRY.register("engine-backends", "vector")
 def _vector_engine():
-    """Vectorized array-of-structs core (native C fast path when the
-    toolchain allows, pure-Python flat-array loop otherwise); results
-    bit-identical to the event engine."""
+    """The compiled C core (:class:`~repro.gpusim.vector.VectorGPU`);
+    results bit-identical to the event engine.
+
+    When the core cannot be loaded (no compiler, a failed build,
+    ``REPRO_VECTOR_NATIVE=0``) this returns the event engine
+    :class:`~repro.gpusim.GPU` instead and issues one ``RuntimeWarning``
+    naming the reason.  Results are the same either way, so
+    ``provenance.backend`` still records ``vector``.
+    """
+    from repro.gpusim import GPU, _native
+    if _native.load() is None:
+        warnings.warn("vector backend: compiled core unavailable "
+                      f"({_native.unavailable_reason}); falling back to "
+                      "the event engine", RuntimeWarning, stacklevel=3)
+        return GPU
     from repro.gpusim.vector import VectorGPU
     return VectorGPU
 

@@ -31,8 +31,9 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional
 from repro import __version__
 from repro.gpusim import ENGINE_VERSION, GPUConfig
 
+from .engines import engine_class
 from .registry import REGISTRY
-from .scenario import SCHEMA_VERSION, Scenario
+from .scenario import SCHEMA_VERSION, Scenario, normalize_execution
 
 #: Standard kwargs handed to every ``streams`` registry factory (each
 #: factory keyword-consumes what it needs and ``**_``-ignores the rest).
@@ -124,15 +125,12 @@ def _provenance(scenario: Scenario) -> Dict[str, Any]:
 
 
 def _embedded_scenario(scenario: Scenario) -> Dict[str, Any]:
-    """The scenario dict stored in results (workers normalized to 1,
-    speculation, telemetry and backend dropped) — all four are
-    execution strategy or observation, never part of what the run
-    computed.  The backend actually used is recorded in provenance."""
+    """The scenario dict stored in results, its execution block reduced
+    by :func:`normalize_execution` — workers, speculation, telemetry and
+    backend are never part of what the run computed.  The backend
+    actually used is recorded in provenance."""
     data = scenario.to_dict()
-    data["execution"]["workers"] = 1
-    data["execution"].pop("speculation", None)
-    data["execution"].pop("telemetry", None)
-    data["execution"].pop("backend", None)
+    normalize_execution(data["execution"])
     return data
 
 
@@ -288,6 +286,10 @@ def run_scenario(scenario: Scenario, executor=None,
     from repro.runtime import make_executor
     from repro.workloads import RODINIA_SPECS
 
+    # Resolve the engine before any simulation: a "vector" run without
+    # the compiled core warns once here, and forked pool workers
+    # inherit the resolved class instead of warning again.
+    engine_class(scenario.execution.backend)
     owned = executor is None
     if owned:
         executor = make_executor(scenario.execution.workers)

@@ -511,6 +511,21 @@ class ExecutionSpec:
         return _decode(cls, data, "execution")
 
 
+def normalize_execution(execution: Dict[str, Any]) -> None:
+    """Reduce an ``ExecutionSpec.to_dict()`` to its identity, in place.
+
+    Workers, speculation, telemetry and backend are resources, not
+    identity: the engines produce bit-identical results for any worker
+    count, speculation strategy, telemetry bundle and engine backend.
+    So ``workers`` is set to 1 and the other three are dropped.  Both
+    :meth:`Scenario.spec_hash` and ``CampaignSpec.spec_hash`` hash
+    through this.
+    """
+    execution["workers"] = 1
+    for key in ("speculation", "telemetry", "backend"):
+        execution.pop(key, None)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """Deterministic fault injection for a fleet scenario.
@@ -803,19 +818,13 @@ class Scenario:
     def spec_hash(self) -> str:
         """sha256 identity of the *experiment* this scenario describes.
 
-        ``execution.workers`` is normalized to 1 before hashing, and
-        ``execution.speculation``, ``execution.telemetry`` and
-        ``execution.backend`` are dropped: the engines produce
-        bit-identical results for any worker count, any speculation
-        strategy, any telemetry bundle, and any engine backend, so a
-        serial run and a ``--workers 4 --speculation full --backend
-        vector --trace out.jsonl`` run of the same scenario share one
-        hash (and their result JSONs compare byte-equal).
+        The execution block is normalized by :func:`normalize_execution`
+        before hashing, so a serial run and a ``--workers 4
+        --speculation full --backend vector --trace out.jsonl`` run of
+        the same scenario share one hash (and their result JSONs compare
+        byte-equal).
         """
         data = self.to_dict()
-        data["execution"]["workers"] = 1
-        data["execution"].pop("speculation", None)
-        data["execution"].pop("telemetry", None)
-        data["execution"].pop("backend", None)
+        normalize_execution(data["execution"])
         canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Sequence
 
 from repro.api.registry import REGISTRY
-from repro.api.scenario import SCHEMA_VERSION, Scenario
+from repro.api.scenario import SCHEMA_VERSION, Scenario, normalize_execution
 
 #: How a restarted campaign treats shards the manifest marks done:
 #: ``verify`` re-hashes every committed shard file against the
@@ -210,15 +210,14 @@ class CampaignSpec:
     def spec_hash(self) -> str:
         """sha256 identity of the campaign's *experiment*.
 
-        The base scenario is normalized the way
-        :meth:`Scenario.spec_hash` normalizes itself — workers to 1,
-        speculation and telemetry dropped — so a ``--shard-workers 8``
-        rerun of a campaign shares the hash (and the manifest) of the
-        serial one.
+        The base scenario's execution block is normalized the way
+        :meth:`Scenario.spec_hash` normalizes its own (see
+        :func:`~repro.api.scenario.normalize_execution`), so a
+        ``--shard-workers 8`` rerun of a campaign, or one whose base
+        selects the vector backend, shares the hash (and the manifest)
+        of the serial event-engine one.
         """
         data = self.to_dict()
-        data["base"]["execution"]["workers"] = 1
-        data["base"]["execution"].pop("speculation", None)
-        data["base"]["execution"].pop("telemetry", None)
+        normalize_execution(data["base"]["execution"])
         canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()

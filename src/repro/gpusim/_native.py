@@ -7,14 +7,16 @@ module compiles it on demand (``gcc -O2``, cached by source hash under
 bridges the four places the loop re-enters Python: warp retirement
 (block/app bookkeeping, SMRA drain completion), dispatch sweeps,
 periodic callbacks (telemetry, SMRA controllers), and empty-heap
-recovery.  Results are bit-identical to both pure-Python engines — the C
-loop is the same operation sequence over the same integers and IEEE
-doubles (see the header comment of ``_vectorcore.c``).
+recovery.  Results are bit-identical to the event engine — the C loop
+is the same operation sequence over the same integers and IEEE doubles
+(see the header comment of ``_vectorcore.c``).
 
-Everything here is optional: any failure to find a compiler, build, or
-load leaves the pure-Python vector loop in charge (same results, just
-slower).  Set ``REPRO_VECTOR_NATIVE=0`` to force the fallback; set
-``REPRO_NATIVE_CACHE`` to relocate the build cache.
+Any failure to find a compiler, build, or load leaves :func:`load`
+returning None with :data:`unavailable_reason` set; the ``vector``
+registry factory then falls back to the event engine (same results,
+just slower) with a ``RuntimeWarning``.  Set ``REPRO_VECTOR_NATIVE=0``
+to force the fallback; set ``REPRO_NATIVE_CACHE`` to relocate the build
+cache.
 """
 
 from __future__ import annotations
@@ -149,8 +151,6 @@ def _build_and_load():
     lib.vc_push_sm.argtypes = [ctypes.POINTER(Core), _i64]
     lib.vc_push_ready.restype = None
     lib.vc_push_ready.argtypes = [ctypes.POINTER(Core)] + [_i64] * 5
-    lib.vc_push_device_raw.restype = None
-    lib.vc_push_device_raw.argtypes = [ctypes.POINTER(Core)] + [_i64] * 3
     return lib
 
 
@@ -178,40 +178,6 @@ class _TrackedL1(SetAssocCache):
         self._dirty.add(self._smi)
 
 
-# -- packed line-record memo -------------------------------------------------
-
-#: id(records list) → (records, flat int64 array).  The records lists are
-#: themselves memoized across runs (vector._STREAM_MEMO), so flattening
-#: each once makes warm-run translation a single array-extend (memcpy).
-#: The value keeps the list alive, so the id key cannot be reused while
-#: the entry exists; the identity check below is belt and braces.
-_PACKED: dict = {}
-_PACKED_LINES = 0
-_PACKED_MAX_LINES = 1_500_000
-
-
-def _packed_records(recs):
-    global _PACKED_LINES
-    key = id(recs)
-    hit = _PACKED.get(key)
-    if hit is not None and hit[0] is recs:
-        return hit[1]
-    flat = array("q", [v for r in recs for v in r])
-    if _PACKED_LINES > _PACKED_MAX_LINES:
-        _PACKED.clear()
-        _PACKED_LINES = 0
-    _PACKED[key] = (recs, flat)
-    _PACKED_LINES += len(recs)
-    return flat
-
-
-def clear_packed_memo():
-    """Drop flattened record arrays (test isolation hook)."""
-    global _PACKED_LINES
-    _PACKED.clear()
-    _PACKED_LINES = 0
-
-
 # -- state translation -------------------------------------------------------
 
 _APP_FIELDS = ("warp_instructions", "thread_instructions",
@@ -226,19 +192,17 @@ def _addr(a):
 class NativeState:
     """Flat-buffer image of a VectorGPU plus the Python crossing handlers.
 
-    Created lazily at the first native ``run`` and kept on the GPU object:
-    the C side then owns the hot state (heaps, caches, warps, servers,
+    Created lazily at the first ``run`` and kept on the GPU object: the
+    C side then owns the hot state (heaps, caches, warps, servers,
     counters) until flushed back at crossings and at exit.  Translation
-    is general — it imports whatever state the device already has (cache
-    contents, pending heap entries, counters), so a device that ran
-    pure-Python first can still resume natively.  The reverse (native →
-    pure mid-run) is not supported; once a NativeState exists the GPU
-    always runs natively.
+    imports the cache contents, server clocks and counters the device
+    already has; the device event heap is still empty then, because only
+    the native loop ever fills it.
     """
 
     def __init__(self, gpu):
         self.gpu = gpu
-        self.lib = lib = gpu._native_lib
+        self.lib = gpu._native_lib
         self.exc = None
         self.run_callbacks = []
         self.l1_dirty = gpu._l1_dirty
@@ -389,20 +353,6 @@ class NativeState:
 
         self._sync_fixed()
         self._sync_growing()
-
-        # Import any pre-existing event-heap / ready-heap state (resume
-        # after a pure-Python run; entries may be packed ints or tuples).
-        c.seq_n = gpu._seq_n
-        heap = gpu._heap
-        if heap:
-            push_raw = lib.vc_push_device_raw
-            for e in heap:
-                if type(e) is tuple:
-                    t0, n0, si = e
-                else:
-                    t0, n0, si = e >> 44, (e >> 12) & 0xFFFFFFFF, e & 0xFFF
-                push_raw(self._cref, t0, n0, si)
-            del heap[:]
         self.drain_admissions()
         self.l1_dirty.clear()     # Python-side sets were read post-clear
 
@@ -511,7 +461,7 @@ class NativeState:
             rent = self._rec_off.get(id(recs))
             if rent is None or rent[1] is not recs:
                 roff = len(self._recs) // 5
-                self._recs.extend(_packed_records(recs))
+                self._recs.extend(recs)
                 rent = (roff, recs)
                 self._rec_off[id(recs)] = rent
             self._w_rec_off.append(rent[0])
@@ -548,9 +498,9 @@ class NativeState:
             s._rr_pointer = rrp[i]
 
     def _flush_all(self):
-        """Write every counter and server clock back to the model objects
-        (the native analogue of the pure vector loop's ``_flush``, plus
-        the C-owned per-app counters)."""
+        """Write every counter, server clock and per-app counter back to
+        the model objects, so callbacks and ``result()`` read exactly the
+        state the event engine would show."""
         gpu = self.gpu
         for i, s in enumerate(gpu.sms):
             s._issue_free = self._isf[i]
@@ -625,7 +575,7 @@ class NativeState:
 
     def _dispatch_and_push(self, now):
         """Shared body of the dispatch / empty-heap crossings; mirrors
-        the vector loop's dispatch block."""
+        the dispatch block of ``GPU.run``."""
         gpu = self.gpu
         c = self.core
         self._flush_sched()
@@ -701,7 +651,7 @@ class NativeState:
 
 
 def run_native(gpu, max_cycles, callbacks):
-    """Native counterpart of ``VectorGPU.run`` (same contract/results)."""
+    """Body of ``VectorGPU.run`` (same contract/results as ``GPU.run``)."""
     if not gpu.apps:
         raise RuntimeError("no applications launched")
     st = gpu._native

@@ -1,10 +1,9 @@
 /* _vectorcore.c — compiled core of the "vector" engine backend.
  *
- * This is an operation-for-operation transcription of the Python loop in
- * repro/gpusim/vector.py (VectorGPU.run), which is itself a transcription
- * of GPU.run + sm.issue_batch + MemorySystem.access_line.  Keep the three
- * in sync; the golden determinism suite and the bench --ab gate compare
- * the backends bit-for-bit.
+ * This is an operation-for-operation transcription of the event engine's
+ * GPU.run + sm.issue_batch + MemorySystem.access_line over flattened
+ * state.  Keep the two in sync; the golden determinism suite and the
+ * bench --ab gate compare the backends bit-for-bit.
  *
  * Bit-identity notes
  * ------------------
@@ -53,7 +52,8 @@ struct Core {
     i64 max_cycles;
     i64 rheap_cap;
 
-    /* device heap: t << 44 | seq << 12 | smi (same as vector.py) */
+    /* device heap: t << 44 | seq << 12 | smi (same order as GPU._heap's
+     * (t, seq, smi) tuples) */
     i64 dheap_len, dheap_cap;
     u128 *dheap;
 
@@ -239,13 +239,6 @@ void vc_push_sm(Core *c, i64 smi) {
                  | ((u128)(unsigned long long)c->seq_n << 12)
                  | (u128)(unsigned long long)smi);
     }
-}
-
-/* Translate one pre-existing device-heap entry (resumed runs). */
-void vc_push_device_raw(Core *c, i64 t, i64 seq, i64 smi) {
-    dpush(c, ((u128)(unsigned long long)t << 44)
-             | ((u128)(unsigned long long)seq << 12)
-             | (u128)(unsigned long long)smi);
 }
 
 /* -- the main loop ------------------------------------------------------ */

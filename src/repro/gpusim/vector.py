@@ -1,61 +1,44 @@
-"""The ``vector`` engine backend: a flattened array-of-structs core.
+"""The ``vector`` engine backend: Python glue around the compiled core.
 
 :class:`VectorGPU` is a drop-in replacement for :class:`~repro.gpusim.gpu.GPU`
 (same constructor, ``launch``/``run``/``result`` surface, same
-:class:`~repro.gpusim.gpu.DeviceResult`) that executes the identical
-event-driven simulation **bit-identically** but substantially faster on
-mem-bound workloads.  It is selected through the ``engine-backends``
-registry kind (``ExecutionSpec.backend = "vector"``); the default
-``"event"`` backend remains :class:`GPU`.
+:class:`~repro.gpusim.gpu.DeviceResult`) whose run loop is the C core in
+``_vectorcore.c``, loaded through :mod:`repro.gpusim._native`.  It is
+selected through the ``engine-backends`` registry kind
+(``ExecutionSpec.backend = "vector"``); when the core cannot be loaded
+the registry hands out the event engine :class:`GPU` instead, so this
+class always runs natively.
 
-Where the time goes, and how this backend removes it
-----------------------------------------------------
-The event engine is already tight per operation (hoisted constants,
-closure free-variables, direct chaining), so this backend wins by doing
-*less work per line/event*, not by shaving attribute loads:
+This module holds the Python half of the backend:
 
-* **Precomputed line records, memoized across runs.**  A warp's memory
-  lines are a pure function of ``(KernelSpec, warp_index, base_line,
-  device geometry)``.  :class:`VectorWorkDistributor` computes each
-  line's partition / L2-set / bank / DRAM-row indices *once*, stores the
-  record list in a process-wide memo, and every later run of the same
-  spec (bench repeats, solo profiles, interference pairs, sweep points)
-  reuses it — skipping both the Mersenne-Twister seeding and the
-  per-line address decode (two divisions, two modulos, a mask) entirely.
-* **Integer event heap.**  Device heap entries ``(t, seq, sm)`` are
-  packed into one int (``t << 44 | seq << 12 | sm``); heap sifts compare
-  machine ints instead of allocating and comparing tuples.  The packing
-  is strictly monotonic in the tuple order, so pop order is identical.
-* **Batched LSU serialization.**  Within one memory instruction the LSU
-  start times are provably consecutive (``t_k = max(issue_start,
-  lsu_free) + k``), so the per-line float ``max``/add/`int()`` collapses
-  into one integer base plus ``+= 1``.
-* **Flat server state.**  Per-partition L2/bus clocks, per-bank
-  busy/row/counter state, and per-SM issue/LSU clocks live in
-  preallocated flat lists for the duration of ``run`` and are flushed
-  back to the model objects at exit, before every callback, and before
-  every dispatch sweep — so controller callbacks (SMRA, telemetry) and
-  the dispatcher observe exactly the state the event engine would show.
-* **Folded counters.**  Per-app hit/access counters accumulate in loop
-  locals and fold once per memory instruction; the byte counters are
-  exact derivations (``dram_bytes == dram_accesses * line_size``,
-  ``l2_to_l1_bytes == l2_hits * line_size`` — the engine only ever
-  increments them in lockstep) and are recomputed at flush points.
+* **The line-record memo.**  A warp's memory lines are a pure function
+  of ``(KernelSpec, warp_index, base_line, device geometry)``.
+  :class:`VectorWorkDistributor` decodes each line's partition / L2-set /
+  bank / DRAM-row indices *once*, flattens the records into an
+  ``array('q')`` in exactly the layout the C core reads, and keeps the
+  array in a process-wide memo (:data:`_STREAM_MEMO`).  Every later run
+  of the same spec (bench repeats, solo profiles, interference pairs,
+  sweep points) reuses it — skipping the Mersenne-Twister seeding, the
+  per-line address decode, and the flattening — and the native state
+  imports it with one array extend (a memcpy).
+* **The distributor.**  Blocks are built by the base
+  :class:`~repro.gpusim.dispatcher.WorkDistributor` admission logic;
+  only warp construction differs (memoized records instead of a lazy
+  address stream).
+* **The glue.**  :class:`VectorGPU` installs L1 caches whose
+  invalidations the native state can see, guards the native packing
+  limits, and forwards ``run`` to :func:`repro.gpusim._native.run_native`.
 
-Bit-identity is by construction: the run loop below is an
-operation-for-operation transcription of ``GPU.run`` +
-``sm.issue_batch`` + ``MemorySystem.access_line`` (see those modules'
-"keep in sync" notes); the golden determinism suite and the bench
-``--ab`` mode compare both backends across the full scenario matrix.
-The ``int``-vs-``float`` rewrites above are exact (floor is monotonic,
-positive-float truncation distributes over integer addition), not
-approximations.
+Bit identity with the event engine is by construction: ``_vectorcore.c``
+is an operation-for-operation transcription of ``GPU.run`` +
+``sm.issue_batch`` + ``MemorySystem.access_line``; the golden
+determinism suite and the bench ``--ab`` mode compare both backends
+across the full scenario matrix.
 """
 
 from __future__ import annotations
 
-import gc
-import heapq
+from array import array
 from typing import List, Sequence
 
 from . import _native
@@ -63,23 +46,21 @@ from .dispatcher import WorkDistributor
 from .gpu import DEFAULT_MAX_CYCLES, GPU, Callback, DeviceResult
 from .kernel import AddressStream, BlockContext, WarpContext
 
+#: Exclusive upper bound on ``max_cycles``: the width of the wake field
+#: in the native core's packed heap entries.
+MAX_CYCLES_LIMIT = 1 << 40
+
 # -- the cross-run line-record memo -----------------------------------------
 
-#: (spec, base_line, geometry) → {warp_index: [(line, p, s2i, bgi, row)]}.
-#: Bounded: when the memo holds more than _MEMO_MAX_LINES line records in
-#: total, least-recently-used spec entries are dropped.  Per-process (each
-#: pool worker warms its own); purely a cache of deterministic
-#: preprocessing, so hits cannot change results.
+#: (spec, base_line, geometry) → {warp_index: array('q') of flattened
+#: (line, p, s2i, bgi, row) records}.  Bounded: when the memo holds more
+#: than _MEMO_MAX_LINES line records in total, least-recently-used spec
+#: entries are dropped.  Per-process (each pool worker warms its own);
+#: purely a cache of deterministic preprocessing, so hits cannot change
+#: results.
 _STREAM_MEMO: dict = {}
 _MEMO_MAX_LINES = 1_500_000
 _memo_lines = 0
-
-
-def clear_stream_memo() -> None:
-    """Drop all memoized line records (test isolation hook)."""
-    global _memo_lines
-    _STREAM_MEMO.clear()
-    _memo_lines = 0
 
 
 class VectorWorkDistributor(WorkDistributor):
@@ -87,8 +68,9 @@ class VectorWorkDistributor(WorkDistributor):
 
     A record ``(line, p, s2i, bgi, row)`` carries the global line number
     plus its memory-partition index, flat L2-set index, flat bank index,
-    and DRAM row — everything the run loop's memory path needs, decoded
-    once instead of per access per run.
+    and DRAM row — everything the core's memory path needs, decoded
+    once instead of per access per run.  A warp's records are stored
+    back to back in one ``array('q')``.
     """
 
     def __init__(self, gpu: "VectorGPU"):
@@ -103,20 +85,20 @@ class VectorWorkDistributor(WorkDistributor):
         self._geom = (self._line_size, self._lines_per_row, self._np,
                       self._banks_per, self._l2_nsets)
 
-    def _records(self, lines: List[int]) -> list:
+    def _records(self, lines: List[int]) -> array:
         np_, banks_per = self._np, self._banks_per
         span, nsets, mask = self._span, self._l2_nsets, self._l2_mask
-        out = []
-        append = out.append
+        out: List[int] = []
+        extend = out.extend
         for line in lines:
             p = line % np_
             local = line // np_
-            append((line, p,
+            extend((line, p,
                     p * nsets + (line & mask if mask is not None
                                  else line % nsets),
                     p * banks_per + local % banks_per,
                     local // span))
-        return out
+        return array("q", out)
 
     def _make_block(self, app, now: int):
         global _memo_lines
@@ -138,7 +120,8 @@ class VectorWorkDistributor(WorkDistributor):
                     # order) until back under the cap.
                     for old_key in list(_STREAM_MEMO):
                         dropped = _STREAM_MEMO.pop(old_key)
-                        _memo_lines -= sum(len(r) for r in dropped.values())
+                        _memo_lines -= sum(len(r) for r in
+                                           dropped.values()) // 5
                         if _memo_lines <= _MEMO_MAX_LINES:
                             break
                 _STREAM_MEMO[key] = per_spec = {}
@@ -155,7 +138,7 @@ class VectorWorkDistributor(WorkDistributor):
                 if has_mem:
                     recs = self._records(stream.pregenerate(program))
                     per_spec[warp_index] = recs
-                    _memo_lines += len(recs)
+                    _memo_lines += len(recs) // 5
                     warp.lines = recs
             else:
                 # Warm hit: skip AddressStream construction entirely (the
@@ -170,7 +153,7 @@ class VectorWorkDistributor(WorkDistributor):
 
 
 class VectorGPU(GPU):
-    """The vectorized flat-state engine backend (see module docstring)."""
+    """The compiled-core engine backend (see module docstring)."""
 
     __slots__ = ("_native_lib", "_native", "_l1_dirty")
 
@@ -178,419 +161,22 @@ class VectorGPU(GPU):
         super().__init__(config)
         if config.num_sms > 0xFFF:
             raise ValueError("vector backend supports at most 4095 SMs")
+        self._native_lib = _native.load()
+        if self._native_lib is None:
+            raise RuntimeError("vector backend needs the compiled core, "
+                               "which is unavailable: "
+                               f"{_native.unavailable_reason}")
         self.distributor = VectorWorkDistributor(self)
-        # Compiled fast path (see _native / _vectorcore.c): available when
-        # a C compiler is (or was) around, bit-identical by construction,
-        # and disabled cleanly via REPRO_VECTOR_NATIVE=0.  The pure loop
-        # below remains the reference and the portable fallback.
         self._native = None
         self._l1_dirty = set()
-        self._native_lib = _native.load()
-        if self._native_lib is not None:
-            for sm in self.sms:
-                sm.l1 = _native._TrackedL1(config.l1_sets, config.l1_assoc,
-                                           self._l1_dirty, sm.index)
-
-    # Device-heap entries are ints: t << 44 | seq << 12 | sm_index.
-    def _push_sm(self, sm) -> None:
-        ready = sm._ready
-        if ready:
-            self._seq_n = n = self._seq_n + 1
-            heapq.heappush(self._heap, (ready[0][0] << 44) | (n << 12)
-                           | sm.index)
+        for sm in self.sms:
+            sm.l1 = _native._TrackedL1(config.l1_sets, config.l1_assoc,
+                                       self._l1_dirty, sm.index)
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES,
             callbacks: Sequence[Callback] = ()) -> DeviceResult:
-        """Transcription of ``GPU.run`` over flattened state.
-
-        Keep in sync with :meth:`GPU.run`, :func:`repro.gpusim.sm.issue_batch`
-        and :meth:`MemorySystem._build_access_line` — same operations in
-        the same order; only the data layout differs.
-        """
-        # Prefer the compiled core.  Once a native state exists the device
-        # must keep using it (the hot state lives in the C arrays); the
-        # 2^40 guard matches the native ready-heap wake packing width.
-        if self._native is not None or (self._native_lib is not None
-                                        and max_cycles < (1 << 40)):
-            return _native.run_native(self, max_cycles, callbacks)
-        if not self.apps:
-            raise RuntimeError("no applications launched")
-        callbacks = list(callbacks)
-        for cb in callbacks:
-            cb.next_at = self.cycle + cb.interval
-
-        if self._dispatch_needed:
-            self.distributor.dispatch(self.cycle)
-            self._dispatch_needed = False
-            for sm in self.sms:
-                self._push_sm(sm)
-
-        heap = self._heap
-        if heap and type(heap[0]) is tuple:
-            # Resuming a heap written by the event engine's layout: the
-            # int packing is order-preserving, so repack in place.
-            for i, (t, n, smi) in enumerate(heap):
-                heap[i] = (t << 44) | (n << 12) | smi
-
-        sms = self.sms
-        mem = self.memory
-        parts = mem.partitions
-        seq_n = self._seq_n
-        heappop, heappush = heapq.heappop, heapq.heappush
-        heappushpop, heapreplace = heapq.heappushpop, heapq.heapreplace
-        events = self.events_processed
-
-        # -- device-wide constants (identical to the event engine's). --
-        sm0 = sms[0]
-        issue_width = sm0._issue_width
-        mem_issue_cost = sm0._mem_issue_cost
-        max_issue = sm0._max_issue
-        warp_size = sm0._warp_size
-        l1_latency = sm0._l1_latency
-        gto = sm0._gto
-        l1_mask = sm0.l1._set_mask
-        l1_nsets = sm0.l1.num_sets
-        l1_assoc = sm0.l1.assoc
-        icnt = mem._icnt
-        l2_service = mem._l2_service
-        l2_lat_icnt = mem._l2_latency + icnt
-        line_size = mem._line_size
-        l2_assoc = mem._l2_assoc
-        l2_bip = mem._l2_bip
-        l2_eps = mem._l2_eps
-        fcfs = mem._fcfs_time
-        # FCFS charges the blended cost on hit and miss alike, which is
-        # exactly row_hit_t == row_miss_t == fcfs_time (hit/miss is still
-        # tracked for the counters).
-        row_hit_t = fcfs if fcfs is not None else mem._row_hit
-        row_miss_t = fcfs if fcfs is not None else mem._row_miss
-        bus_t = mem._bus
-        done_add = bus_t + mem._extra_latency + icnt
-        window = parts[0].banks[0].window if parts[0].banks else 1
-
-        # -- flattened hot state (flushed back at the points below). --
-        readies = [sm._ready for sm in sms]  # list identity is stable
-        l1sets_a = [sm.l1.sets for sm in sms]
-        isf_a = [sm._issue_free for sm in sms]
-        lsf_a = [sm._lsu_free for sm in sms]
-        lia_a = [sm._last_issued_age for sm in sms]
-        rrp_a = [sm._rr_pointer for sm in sms]
-        l1h_a = [sm.l1.hits for sm in sms]
-        l1m_a = [sm.l1.misses for sm in sms]
-        l1e_a = [sm.l1.evictions for sm in sms]
-        l2_busy = [p.l2_busy_until for p in parts]
-        bus_busy = [p.bus_busy_until for p in parts]
-        l2sets: list = []   # flat: p * l2_nsets + set_index
-        for p in parts:
-            l2sets.extend(p.l2.sets)  # set-dict identity is stable
-        l2h_a = [p.l2.hits for p in parts]
-        l2m_a = [p.l2.misses for p in parts]
-        l2e_a = [p.l2.evictions for p in parts]
-        bipc_a = [p.l2._bip_counter for p in parts]
-        bank_busy: list = []
-        bank_rows: list = []  # dict identity is stable (shared in place)
-        bank_acc: list = []
-        bank_rh: list = []
-        for p in parts:
-            for b in p.banks:
-                bank_busy.append(b.busy_until)
-                bank_rows.append(b.rows)
-                bank_acc.append(b.accesses)
-                bank_rh.append(b.row_hits)
-
-        stats_apps = self.stats.apps
-
-        def _flush_sched() -> None:
-            # The dispatcher's admit path reads the scheduler key inputs.
-            for i, s in enumerate(sms):
-                s._last_issued_age = lia_a[i]
-                s._rr_pointer = rrp_a[i]
-
-        def _flush() -> None:
-            # Full write-back: server clocks, cache/bank counters, derived
-            # byte counters — everything a callback or result() can read.
-            for i, p in enumerate(parts):
-                p.l2_busy_until = l2_busy[i]
-                p.bus_busy_until = bus_busy[i]
-                l2 = p.l2
-                l2.hits = l2h_a[i]
-                l2.misses = l2m_a[i]
-                l2.evictions = l2e_a[i]
-                l2._bip_counter = bipc_a[i]
-            bi = 0
-            for p in parts:
-                for b in p.banks:
-                    b.busy_until = bank_busy[bi]
-                    b.accesses = bank_acc[bi]
-                    b.row_hits = bank_rh[bi]
-                    bi += 1
-            for i, s in enumerate(sms):
-                s._issue_free = isf_a[i]
-                s._lsu_free = lsf_a[i]
-                s._last_issued_age = lia_a[i]
-                s._rr_pointer = rrp_a[i]
-                l1 = s.l1
-                l1.hits = l1h_a[i]
-                l1.misses = l1m_a[i]
-                l1.evictions = l1e_a[i]
-            for st in stats_apps.values():
-                st.dram_bytes = st.dram_accesses * line_size
-                st.l2_to_l1_bytes = st.l2_hits * line_size
-
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            chained_t = None
-            pending = None
-            smi = 0
-            ready = None
-            while self._unfinished:
-                if chained_t is None:
-                    if pending is not None:
-                        entry = heappushpop(heap, pending)
-                        pending = None
-                    elif heap:
-                        entry = heappop(heap)
-                    else:
-                        # Everything blocked on dispatch (e.g. after
-                        # migration).
-                        self._seq_n = seq_n
-                        _flush_sched()
-                        if self.distributor.dispatch(self.cycle):
-                            for s in self.sms:
-                                self._push_sm(s)
-                            seq_n = self._seq_n
-                            continue
-                        raise RuntimeError(
-                            "simulation deadlock: no events and nothing "
-                            "to dispatch")
-                    t = entry >> 44
-                    smi = entry & 0xFFF
-                    ready = readies[smi]
-                    if not ready or ready[0][0] != t:
-                        continue  # stale entry
-                else:
-                    t = chained_t
-                    chained_t = None
-                if t > max_cycles:
-                    self.cycle = max_cycles
-                    break
-
-                if callbacks:
-                    flushed = False
-                    for cb in callbacks:
-                        while cb.next_at <= t:
-                            self.cycle = cb.next_at
-                            if not flushed:
-                                _flush()
-                                flushed = True
-                            cb.fn(self, self.cycle)
-                            cb.next_at += cb.interval
-
-                self.cycle = t
-                # ---- inlined issue batch for sms[smi] at cycle t ----
-                if ready and ready[0][0] <= t:
-                    issued = 0
-                    rr_pointer = 0 if gto else rrp_a[smi]
-                    srv_issue_free = isf_a[smi]
-                    srv_lsu_free = lsf_a[smi]
-                    last_issued_age = lia_a[smi]
-                    l1sets = l1sets_a[smi]
-                    l1h_c = l1m_c = l1e_c = 0
-                    while ready:
-                        head = ready[0]
-                        if head[0] > t or issued >= max_issue:
-                            break
-                        warp = head[3]
-                        if warp.done:
-                            heappop(ready)
-                            sms[smi]._finish_warp(warp)
-                            continue
-                        program = warp.program
-                        alu_n, n_tx = program[warp.pc]
-                        app = warp.stats
-                        if warp.mem_pending:
-                            # Phase 2: the memory instruction executes.
-                            app.warp_instructions += 1
-                            app.thread_instructions += warp_size
-                            app.mem_instructions += 1
-                            app.mem_transactions += n_tx
-                            issue_start = srv_issue_free
-                            if t > issue_start:
-                                issue_start = t
-                            srv_issue_free = issue_free = \
-                                issue_start + mem_issue_cost
-                            ls = warp.lines
-                            if ls is None:
-                                recs = self.distributor._records(
-                                    warp.addr_stream.next_lines(n_tx))
-                            else:
-                                li = warp.li
-                                warp.li = end = li + n_tx
-                                recs = ls[li:end]
-                            # LSU starts are consecutive from the first:
-                            # t_k = max(issue_start, lsu_free) + k.
-                            first = issue_start \
-                                if issue_start > srv_lsu_free \
-                                else srv_lsu_free
-                            srv_lsu_free = first + len(recs)
-                            nk = int(first)
-                            maxdone = 0
-                            l1h_l = l2h_l = dram_l = drh_l = 0
-                            for line, p, s2i, bgi, row in recs:
-                                s = l1sets[line & l1_mask
-                                           if l1_mask is not None
-                                           else line % l1_nsets]
-                                if line in s:
-                                    s.move_to_end(line)
-                                    l1h_l += 1
-                                    d = nk + l1_latency
-                                else:
-                                    l1m_c += 1
-                                    if len(s) >= l1_assoc:
-                                        s.popitem(last=False)
-                                        l1e_c += 1
-                                    s[line] = None
-                                    # -- memory system (access_line) --
-                                    arrival = nk + icnt
-                                    bz = l2_busy[p]
-                                    l2_start = arrival if arrival > bz \
-                                        else bz
-                                    l2_busy[p] = l2_start + l2_service
-                                    s2 = l2sets[s2i]
-                                    if line in s2:
-                                        s2.move_to_end(line)
-                                        l2h_a[p] += 1
-                                        l2h_l += 1
-                                        d = l2_start + l2_lat_icnt
-                                    else:
-                                        l2m_a[p] += 1
-                                        if len(s2) >= l2_assoc:
-                                            s2.popitem(last=False)
-                                            l2e_a[p] += 1
-                                        s2[line] = None
-                                        if l2_bip:
-                                            bipc_a[p] = bc = bipc_a[p] + 1
-                                            if bc % l2_eps:
-                                                s2.move_to_end(line,
-                                                               last=False)
-                                        bb = bank_busy[bgi]
-                                        start = l2_start \
-                                            if l2_start > bb else bb
-                                        rows = bank_rows[bgi]
-                                        if row in rows:
-                                            del rows[row]
-                                            rows[row] = None
-                                            occ = row_hit_t
-                                            bank_rh[bgi] += 1
-                                            drh_l += 1
-                                        else:
-                                            if len(rows) >= window:
-                                                del rows[next(iter(rows))]
-                                            rows[row] = None
-                                            occ = row_miss_t
-                                        bank_busy[bgi] = bank_done = \
-                                            start + occ
-                                        bank_acc[bgi] += 1
-                                        dram_l += 1
-                                        bz2 = bus_busy[p]
-                                        bus_start = bank_done \
-                                            if bank_done > bz2 else bz2
-                                        bus_busy[p] = bus_start + bus_t
-                                        d = bus_start + done_add
-                                if d > maxdone:
-                                    maxdone = d
-                                nk += 1
-                            if l1h_l:
-                                l1h_c += l1h_l
-                                app.l1_hits += l1h_l
-                            if l2h_l:
-                                app.l2_hits += l2h_l
-                            if dram_l:
-                                app.dram_accesses += dram_l
-                                if drh_l:
-                                    app.dram_row_hits += drh_l
-                            warp.mem_pending = False
-                            warp.pc = pc = warp.pc + 1
-                            if pc >= warp.prog_end:
-                                warp.done = True
-                            # wake = int(max(issue_start, dones,
-                            # issue_free)); floor is monotonic and
-                            # issue_free > issue_start, so:
-                            wake = int(issue_free)
-                            if maxdone > wake:
-                                wake = maxdone
-                        else:
-                            # Phase 1: the ALU run issues.
-                            issue_start = srv_issue_free
-                            if t > issue_start:
-                                issue_start = t
-                            srv_issue_free = issue_free = \
-                                issue_start + alu_n / issue_width
-                            app.warp_instructions += alu_n
-                            app.thread_instructions += alu_n * warp_size
-                            app.alu_instructions += alu_n
-                            wake = issue_start + alu_n * warp.dep_gap
-                            if n_tx:
-                                warp.mem_pending = True
-                            else:
-                                warp.pc = pc = warp.pc + 1
-                                if pc >= warp.prog_end:
-                                    warp.done = True
-                            if wake < issue_free:
-                                wake = issue_free
-                            wake = int(wake)
-                        age = warp.age
-                        last_issued_age = age
-                        if wake <= t:
-                            wake = t + 1
-                        heapreplace(
-                            ready,
-                            (wake,
-                             -1 if gto else (age - rr_pointer) % 1_000_000,
-                             age, warp))
-                        issued += 1
-                    isf_a[smi] = srv_issue_free
-                    lsf_a[smi] = srv_lsu_free
-                    lia_a[smi] = last_issued_age
-                    if not gto:
-                        rrp_a[smi] = rr_pointer + issued
-                    if l1h_c:
-                        l1h_a[smi] += l1h_c
-                    if l1m_c:
-                        l1m_a[smi] += l1m_c
-                    if l1e_c:
-                        l1e_a[smi] += l1e_c
-                # ---- end inlined batch ----
-                events += 1
-                if ready:
-                    t_next = ready[0][0]
-                    if not self._dispatch_needed and (
-                            not heap or t_next < (heap[0] >> 44)):
-                        chained_t = t_next
-                        continue
-                    seq_n += 1
-                    pending = (t_next << 44) | (seq_n << 12) | smi
-                if self._dispatch_needed:
-                    self._dispatch_needed = False
-                    if pending is not None:
-                        heappush(heap, pending)
-                        pending = None
-                    self._seq_n = seq_n
-                    _flush_sched()
-                    if self.distributor.dispatch(self.cycle):
-                        for s in sms:
-                            self._push_sm(s)
-                    seq_n = self._seq_n
-            self._seq_n = seq_n
-            if pending is not None:
-                heappush(heap, pending)
-            if chained_t is not None:
-                self._push_sm(sms[smi])
-        finally:
-            self._seq_n = max(self._seq_n, seq_n)
-            _flush()
-            if gc_was_enabled:
-                gc.enable()
-        self.events_processed = events
-        return self.result()
+        """Simulate on the compiled core; same contract as :meth:`GPU.run`."""
+        if max_cycles >= MAX_CYCLES_LIMIT:
+            raise ValueError("vector backend supports max_cycles below "
+                             f"2**40 ({MAX_CYCLES_LIMIT}), got {max_cycles}")
+        return _native.run_native(self, max_cycles, callbacks)

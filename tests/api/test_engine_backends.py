@@ -4,20 +4,27 @@ Backend is resources-not-identity, like ``workers``: the vector backend
 must produce byte-identical results to the event backend for every
 scenario kind, ``spec_hash`` normalizes it away, and the default
 ``"event"`` serializes to no key so pre-backend scenario files
-round-trip byte-identically.
+round-trip byte-identically.  Without the compiled core, ``vector``
+resolves to the event engine with one ``RuntimeWarning``.
 """
 
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import pytest
 
-from repro.api import RunResult, Scenario, run_scenario
+from repro.api import RunResult, Scenario, engines, run_scenario
 from repro.api.engines import engine_class
 from repro.api.registry import REGISTRY, RegistryError
 from repro.api.scenario import (DeviceSpec, ExecutionSpec, PlacementSpec,
                                 PolicySpec, WorkloadSpec)
+from repro.core import scheduler
+from repro.gpusim import GPU, Application, _native, small_test_config
+from repro.gpusim.vector import MAX_CYCLES_LIMIT, VectorGPU
+
+from ..conftest import make_tiny_spec
 
 SCENARIO_DIR = (pathlib.Path(__file__).resolve().parents[2]
                 / "examples" / "scenarios")
@@ -67,10 +74,11 @@ class TestRegistry:
         assert REGISTRY.names("engine-backends") == ["event", "vector"]
 
     def test_factories_return_engine_classes(self):
-        from repro.gpusim import GPU
-        from repro.gpusim.vector import VectorGPU
         assert engine_class("event") is GPU
-        assert engine_class("vector") is VectorGPU
+        # Without the compiled core, "vector" falls back to the event
+        # engine.
+        expected = GPU if _native.load() is None else VectorGPU
+        assert engine_class("vector") is expected
 
     def test_engine_class_is_memoized(self):
         assert engine_class("vector") is engine_class("vector")
@@ -185,3 +193,57 @@ class TestProvenance:
         # The embedded scenario stays backend-free (identity, not
         # resources), so result files differ only in provenance.
         assert "backend" not in result.scenario["execution"]
+
+
+@pytest.fixture
+def core_unavailable(monkeypatch):
+    """Force the compiled core to look unavailable in this process."""
+    monkeypatch.setattr(_native, "_tried", True)
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "unavailable_reason", "forced off")
+    monkeypatch.setattr(engines, "_CLASS_CACHE", {})
+    monkeypatch.setattr(scheduler, "_ENGINE_CLASSES", {"event": GPU})
+
+
+class TestFallback:
+    """Without the compiled core, "vector" runs on the event engine."""
+
+    def test_fallback_warns_once_and_matches_event(self, request):
+        vector = run_scenario(_tiny_fleet(backend="vector"))
+        event = run_scenario(_tiny_fleet())
+        request.getfixturevalue("core_unavailable")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fallback = run_scenario(_tiny_fleet(backend="vector"))
+        fallback_warnings = [w for w in caught
+                             if issubclass(w.category, RuntimeWarning)
+                             and "forced off" in str(w.message)]
+        assert len(fallback_warnings) == 1
+        assert "falling back to the event engine" in \
+            str(fallback_warnings[0].message)
+        assert engine_class("vector") is GPU
+        # provenance still says "vector", so the file is byte-equal to
+        # the compiled core's, and equal to the event engine's apart
+        # from provenance.
+        assert fallback.provenance["backend"] == "vector"
+        assert fallback.to_json() == vector.to_json()
+        assert json.dumps(_strip_backend(fallback), sort_keys=True) == \
+            json.dumps(_strip_backend(event), sort_keys=True)
+
+    def test_direct_construction_without_core_rejected(
+            self, core_unavailable):
+        with pytest.raises(RuntimeError, match="unavailable: forced off"):
+            VectorGPU(small_test_config())
+
+
+class TestVectorGuards:
+    @pytest.mark.skipif(_native.load() is None,
+                        reason="compiled vector core unavailable")
+    def test_max_cycles_beyond_packing_width_rejected(self):
+        gpu = VectorGPU(small_test_config())
+        gpu.launch([Application("tiny", make_tiny_spec())])
+        with pytest.raises(ValueError, match=r"below 2\*\*40"):
+            gpu.run(max_cycles=MAX_CYCLES_LIMIT)
+        # The largest accepted budget still runs to completion.
+        result = gpu.run(max_cycles=MAX_CYCLES_LIMIT - 1)
+        assert result.cycles > 0

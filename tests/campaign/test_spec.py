@@ -1,5 +1,7 @@
 """CampaignSpec / ShardSpec: validation, round-trip, identity."""
 
+import pathlib
+
 import pytest
 
 from repro.api import REGISTRY
@@ -117,6 +119,20 @@ class TestCampaignSpecHash:
         data["base"]["execution"]["workers"] = 8
         parallel = CampaignSpec.from_dict(data)
         assert parallel.spec_hash() == tiny_campaign.spec_hash()
+
+    def test_backend_does_not_change_identity(self, tiny_campaign):
+        data = tiny_campaign.to_dict()
+        data["base"]["execution"]["backend"] = "vector"
+        vector = CampaignSpec.from_dict(data)
+        assert vector.base.execution.backend == "vector"
+        assert vector.spec_hash() == tiny_campaign.spec_hash()
+
+    def test_committed_campaign_hash_is_stable(self):
+        path = (pathlib.Path(__file__).resolve().parents[2] / "examples"
+                / "scenarios" / "campaign_small.json")
+        spec = CampaignSpec.from_json(path.read_text())
+        assert spec.spec_hash() == ("a88a037ebee026f0a34b60256a35ba9a"
+                                    "2e2c1e379f1c029570ab9f2b0826ffc7")
 
     def test_grid_changes_identity(self, tiny_campaign):
         data = tiny_campaign.to_dict()
