@@ -7,16 +7,11 @@ placement layer and not yet finished — what interference-aware placement
 scores against), the in-flight group, and the per-device timeline that
 fleet analysis reads back (groups, busy cycles).
 
-The lifecycle mirrors :func:`repro.runtime.run_stream` for a single
-device — assign → launch → complete with the same hook order
-(``on_group_finish`` before new arrivals before ``next_group``).  One
-deliberate refinement: the fleet clock stops at every arrival, so
-``on_arrival`` sees the *true* arrival cycle, where ``run_stream`` only
-wakes at group boundaries and stamps arrivals with the completion cycle
-that delivered them.  Schedules are therefore identical for a
-one-device fleet under every shipped policy (none reads ``now`` in
-``on_arrival``; a parity test enforces this), but a policy that ages
-waiting apps by that timestamp would see the more accurate fleet clock.
+The lifecycle is assign → launch → complete.  The fleet clock stops at
+every arrival, so ``on_arrival`` sees the true arrival cycle;
+``on_group_finish`` fires at the completion instant, before the
+arrivals and ``next_group`` of that instant.  A one-device fleet is
+:func:`repro.runtime.run_stream`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
-"""The fleet event loop: N devices draining one shared arrival stream.
+"""The event loop: N devices draining one shared arrival stream.
 
-:func:`run_fleet` generalizes :func:`repro.runtime.run_stream` from one
-device to a fleet.  One virtual clock advances over the merged event
+:func:`run_fleet` is the only online event loop in the package:
+:func:`repro.runtime.run_stream` (the paper's one-GPU online model) is
+a one-device fleet.  One virtual clock advances over the merged event
 sequence (arrivals plus per-device group completions); at every event
 time the loop
 
@@ -13,11 +14,11 @@ time the loop
    and simulates all groups launched at this instant as **one batch**
    through the executor.
 
-Step 3 is where the PR-2 :class:`~repro.runtime.executors
-.ParallelExecutor` earns its keep: a group's simulation result depends
-only on its membership, so the same-instant launches (all N devices at
-a burst, several devices after simultaneous completions) fan out across
-worker processes and merge back in device-id order — results are
+Step 3 is where the :class:`~repro.runtime.executors.ParallelExecutor`
+earns its keep: a group's simulation result depends only on its
+membership, so the same-instant launches (all N devices at a burst,
+several devices after simultaneous completions) fan out across worker
+processes and merge back in device-id order — results are
 bit-identical for any worker count, because every *decision* (placement,
 group formation, event ordering) happens on this loop's clock, never in
 a worker.
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.gpusim import GPUConfig
 
 from repro.core.policies import PolicyContext
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import MetricsRegistry, Telemetry, phase_of
 from repro.runtime.engine import AppRecord, Arrival, ScheduledGroup
 from repro.runtime.executors import (DEFAULT_MAX_CYCLES, Executor,
                                      SerialExecutor)
@@ -310,10 +311,7 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
         if not up:
             requeue.append(entry)
             return
-        if profiler is not None:
-            with profiler.phase("placement"):
-                device = placement.choose(entry, now, up, ctx)
-        else:
+        with phase_of(profiler, "placement"):
             device = placement.choose(entry, now, up, ctx)
         if tracer is not None:
             # Candidate scores = the load state placement ranks on
@@ -691,10 +689,7 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
         for device in devices:
             if device.busy or not device.up:
                 continue
-            if profiler is not None:
-                with profiler.phase("solver"):
-                    group = device.next_group(now, ctx_of(device))
-            else:
+            with phase_of(profiler, "solver"):
                 group = device.next_group(now, ctx_of(device))
             if group is None:
                 continue
@@ -727,30 +722,15 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                     [(d.device_id, g, ctx_of(d).config,
                       ctx_of(d).smra_params) for d, g in launches],
                     max_cycles, now=now)
-            elif device_contexts is None:
-                if profiler is not None:
-                    with profiler.phase("simulate"):
-                        outcomes = executor.run_groups(
-                            [g for _d, g in launches], ctx.config,
-                            ctx.smra_params, max_cycles,
-                            backend=ctx.backend)
-                else:
-                    outcomes = executor.run_groups(
-                        [g for _d, g in launches], ctx.config,
-                        ctx.smra_params, max_cycles, backend=ctx.backend)
             else:
-                # Heterogeneous fleet: every group simulates on the
-                # launching device's own configuration; the batch still
-                # fans out through the executor as one job list.
-                jobs = [(g, ctx_of(d).config, ctx_of(d).smra_params)
-                        for d, g in launches]
-                if profiler is not None:
-                    with profiler.phase("simulate"):
-                        outcomes = executor.run_device_groups(
-                            jobs, max_cycles, backend=ctx.backend)
-                else:
+                # Every group simulates on its launching device's own
+                # configuration (the fleet-wide one when homogeneous);
+                # the instant's batch fans out as one job list.
+                with phase_of(profiler, "simulate"):
                     outcomes = executor.run_device_groups(
-                        jobs, max_cycles, backend=ctx.backend)
+                        [(g, ctx_of(d).config, ctx_of(d).smra_params)
+                         for d, g in launches],
+                        max_cycles, backend=ctx.backend)
             for (device, _group), outcome in zip(launches, outcomes):
                 members = list(outcome.members)
                 failed = faults is not None and faults.group_fails(
@@ -832,32 +812,21 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
         metrics.gauge("fleet.makespan").set(now)
         metrics.gauge("fleet.devices").set(len(devices))
 
-    policy_name = devices[0].policy.name if devices else ""
-    if profiler is not None:
-        with profiler.phase("merge"):
-            return _fleet_outcome(placement, policy_name, ctx, devices,
-                                  records, assignments, now, rejected,
-                                  applied)
-    return _fleet_outcome(placement, policy_name, ctx, devices, records,
-                          assignments, now, rejected, applied)
-
-
-def _fleet_outcome(placement, policy_name, ctx, devices, records,
-                   assignments, now, rejected, applied) -> FleetOutcome:
-    return FleetOutcome(
-        placement=placement.name,
-        policy=policy_name,
-        config=ctx.config,
-        devices=[DeviceOutcome(device_id=d.device_id, policy=d.policy.name,
-                               groups=d.groups, busy_cycles=d.busy_cycles,
-                               config_name=(d.config.name if d.config
-                                            is not None else ""),
-                               lost_cycles=d.lost_cycles,
-                               down_cycles=d.down_cycles,
-                               failed_groups=d.failed_groups)
-                 for d in devices],
-        records=records,
-        assignments=assignments,
-        makespan=now,
-        rejected=rejected,
-        fault_events=applied)
+    with phase_of(profiler, "merge"):
+        return FleetOutcome(
+            placement=placement.name,
+            policy=devices[0].policy.name,
+            config=ctx.config,
+            devices=[DeviceOutcome(
+                device_id=d.device_id, policy=d.policy.name,
+                groups=d.groups, busy_cycles=d.busy_cycles,
+                config_name=(d.config.name if d.config is not None
+                             else ""),
+                lost_cycles=d.lost_cycles, down_cycles=d.down_cycles,
+                failed_groups=d.failed_groups)
+                for d in devices],
+            records=records,
+            assignments=assignments,
+            makespan=now,
+            rejected=rejected,
+            fault_events=applied)

@@ -1,9 +1,10 @@
 """Deterministic observability: tracing, metrics, profiling.
 
-Three instruments, one bundle (:class:`Telemetry`), zero overhead when
-off — every emission site in the execution loops is guarded by a plain
-``is not None`` check, so a run without telemetry executes the exact
-seed code path:
+Three instruments, one bundle (:class:`Telemetry`), near-zero overhead
+when off — trace and metric emission sites are guarded by a plain
+``is not None`` check, and profiled phases go through
+:func:`~repro.obs.profiling.phase_of`, a shared no-op context when no
+profiler is attached:
 
 * :mod:`.trace` — virtual-clock :class:`TraceEvent` stream with JSONL
   and Chrome ``trace_event`` exporters (open a fleet run in Perfetto).
@@ -29,7 +30,7 @@ from repro.api.registry import REGISTRY
 
 from .metrics import (Counter, Gauge, Histogram, HISTOGRAM_EDGES,
                       MetricsRegistry)
-from .profiling import PHASES, PhaseProfiler
+from .profiling import PHASES, PhaseProfiler, phase_of
 from .trace import (EVENT_KINDS, FLEET_PID, TRACE_FORMATS,
                     TRACE_SCHEMA_VERSION, RecordingTracer, TraceEvent,
                     Tracer, export_chrome, export_jsonl, load_events,
@@ -42,7 +43,7 @@ __all__ = [
     "export_jsonl", "export_chrome", "render_trace", "write_trace",
     "load_events",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "HISTOGRAM_EDGES",
-    "PhaseProfiler", "PHASES",
+    "PhaseProfiler", "PHASES", "phase_of",
 ]
 
 

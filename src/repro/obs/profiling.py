@@ -15,20 +15,30 @@ Usage::
         device = placement.choose(entry, now, up, ctx)
     print(prof.format_table())
 
-``phase()`` on a ``None`` profiler is the hot-path concern, so loops
-guard with ``if profiler is not None`` — the context manager itself is
-two ``perf_counter`` calls and a dict update.
+Loops whose profiler may be ``None`` write ``with phase_of(profiler,
+"simulate"):`` — :func:`phase_of` hands back one shared
+``nullcontext`` when profiling is off, so an unprofiled run pays a
+function call per phase and never touches the clock.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Tuple
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Canonical phase names used by the engines (callers may add more).
 PHASES: Tuple[str, ...] = ("simulate", "predict", "commit-check",
                            "placement", "solver", "merge")
+
+
+_NO_PHASE = nullcontext()
+
+
+def phase_of(profiler: Optional[PhaseProfiler],
+             name: str) -> AbstractContextManager:
+    """``profiler.phase(name)``, or a shared no-op when `profiler` is None."""
+    return _NO_PHASE if profiler is None else profiler.phase(name)
 
 
 class PhaseProfiler:

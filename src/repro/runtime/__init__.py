@@ -10,8 +10,9 @@ Three coordinated layers on top of :mod:`repro.core`:
   (:class:`SerialExecutor`, the seed behavior) or fanned across a
   process pool (:class:`ParallelExecutor`) with deterministic merging.
 * **engine** (:mod:`.engine`) — :func:`run_stream` drives a policy over
-  an arrival stream on a simulated clock; :func:`drain_queue` is the
-  batch special case behind the classic ``run_queue`` API.
+  an arrival stream as a one-device :func:`repro.cluster.run_fleet`;
+  :func:`drain_queue` is the batch special case behind the classic
+  ``run_queue`` API.
 * **speculation** (:mod:`.speculation`) — the speculative-execution
   layer: :class:`SpeculativeSimulator` pre-simulates a policy's likely
   next groups on idle workers and commits only bit-identical hits, so

@@ -1,18 +1,19 @@
-"""The online scheduling runtime: arrival streams → scheduled groups.
+"""Online and batch drains: arrival streams and queues → groups.
 
-:func:`run_stream` advances a simulated wall clock (device cycles).
-Arrivals are delivered to the policy as the clock passes their arrival
-cycle; whenever the device is free the policy is asked for the next
-group, which then occupies the device exclusively for its co-run time
-(the paper's evaluation model: one group at a time, fresh device per
-group).  Completion times, waits, and turnarounds are recorded per
-application for the stream metrics in :mod:`repro.analysis.streams`.
+:func:`run_stream` is the paper's online model — one co-scheduled group
+at a time on one GPU, fresh device per group — and runs as a one-device
+:func:`repro.cluster.run_fleet`, the package's single event loop.
+Completion times, waits, and turnarounds are recorded per application
+for the stream metrics in :mod:`repro.analysis.streams`.
 
 :func:`drain_queue` is the batch special case — every application
 present at cycle 0 — and is what the classic ``run_queue`` API now
 wraps: plan with a batch policy, execute the planned groups through an
 executor, producing results bit-identical to the seed scheduler when
 the executor is the default :class:`~repro.runtime.executors.SerialExecutor`.
+It stays a separate function because it fans the whole plan out as one
+executor batch, which a one-device fleet (one launch per instant) would
+serialise.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.gpusim import GPUConfig, KernelSpec
 
 from repro.core.policies import Policy, PolicyContext, Queue
-from repro.core.scheduler import GroupOutcome, QueueOutcome, run_group
-from repro.obs import Telemetry
+from repro.core.scheduler import GroupOutcome, QueueOutcome
+from repro.obs import Telemetry, phase_of
 
 from .executors import DEFAULT_MAX_CYCLES, Executor, SerialExecutor
 from .online import OnlinePolicy
@@ -111,126 +112,32 @@ def run_stream(arrivals: Sequence[Arrival], policy: OnlinePolicy,
                max_cycles: int = DEFAULT_MAX_CYCLES,
                speculation: Optional[SpeculativeSimulator] = None,
                telemetry: Optional[Telemetry] = None) -> StreamOutcome:
-    """Drive `policy` over `arrivals`; return the scheduled timeline.
+    """Drive `policy` over `arrivals` on one device; return the timeline.
 
-    The loop alternates two steps: deliver every arrival whose cycle
-    has passed, then ask the policy for the next group.  A ``None``
-    group with arrivals still in flight fast-forwards the clock to the
-    next arrival; a ``None`` group with applications still waiting and
-    nothing in flight is a policy bug and raises.
+    This is :func:`repro.cluster.run_fleet` with a single device: the
+    fleet loop delivers each arrival at its arrival cycle, asks the
+    policy for a group whenever the device is idle, and raises when the
+    policy holds waiting applications but returns no group with no
+    arrivals left.
 
     `speculation` (a :class:`~repro.runtime.speculation
-    .SpeculativeSimulator`) pipelines the single device: right after
-    the policy commits to a group, its likely successors are predicted
-    (by replaying a clone of the policy) and submitted to the executor,
-    so workers pre-simulate the next groups while this loop is blocked
-    on the current one.  A hit commits the stored result — bit-identical
-    by the purity of ``run_group`` — and a miss discards it unobserved,
-    so results never depend on speculation.
-
-    `telemetry` (a :class:`~repro.obs.Telemetry`) observes the run —
-    trace events on the virtual clock, deterministic counters, wall
-    clock phase timers — without participating in it: the scheduled
-    timeline is byte-identical with telemetry on or off.
+    .SpeculativeSimulator`) pre-simulates the policy's likely next
+    groups and, when its strategy allows run-ahead, lets the device run
+    ahead of the clock between arrivals; `telemetry` (a
+    :class:`~repro.obs.Telemetry`) observes the run.  Neither changes
+    the returned timeline.
     """
-    ordered = sorted(arrivals, key=lambda a: a.cycle)
-    if len(set(a.name for a in ordered)) != len(ordered):
-        raise ValueError("arrival names must be unique within a stream")
+    # Imported here: repro.cluster imports this module.
+    from repro.cluster import RoundRobinPlacement, run_fleet
 
-    tracer = telemetry.tracer if telemetry is not None else None
-    metrics = telemetry.metrics if telemetry is not None else None
-    profiler = telemetry.profiler if telemetry is not None else None
-    if tracer is not None:
-        policy.tracer = tracer
-    if speculation is not None and telemetry is not None:
-        speculation.attach_telemetry(telemetry)
-
-    now = 0
-    i = 0
-    n = len(ordered)
-    arrival_cycle: Dict[str, int] = {}
-    records: Dict[str, AppRecord] = {}
-    groups: List[ScheduledGroup] = []
-    busy = 0
-
-    while True:
-        while i < n and ordered[i].cycle <= now:
-            a = ordered[i]
-            arrival_cycle[a.name] = a.cycle
-            if tracer is not None:
-                tracer.emit("arrival", now, app=a.name,
-                            arrival_cycle=a.cycle)
-            if metrics is not None:
-                metrics.counter("stream.arrivals").inc()
-            policy.on_arrival((a.name, a.spec), now, ctx)
-            i += 1
-
-        if profiler is not None:
-            with profiler.phase("solver"):
-                group = policy.next_group(now, ctx)
-        else:
-            group = policy.next_group(now, ctx)
-        if group is None:
-            if i < n:
-                now = max(now, ordered[i].cycle)
-                continue
-            if policy.pending:
-                raise RuntimeError(
-                    f"policy {policy.name!r} holds waiting applications "
-                    f"but returned no group and no arrivals remain")
-            break
-
-        for name, _spec in group.members:
-            if name not in arrival_cycle:
-                raise RuntimeError(
-                    f"policy {policy.name!r} scheduled {name!r} before "
-                    f"its arrival")
-            if name in records:
-                raise RuntimeError(
-                    f"policy {policy.name!r} scheduled {name!r} twice")
-
-        if speculation is None:
-            if profiler is not None:
-                with profiler.phase("simulate"):
-                    outcome = run_group(group, ctx.config, ctx.smra_params,
-                                        max_cycles, backend=ctx.backend)
-            else:
-                outcome = run_group(group, ctx.config, ctx.smra_params,
-                                    max_cycles, backend=ctx.backend)
-        else:
-            # Predict successors first (their simulations start on idle
-            # workers), then resolve the committed group — a store hit
-            # from the previous iteration's prediction, else on demand.
-            speculation.predict("stream", policy, now, ctx, max_cycles)
-            outcome = speculation.fetch("stream", group, ctx.config,
-                                        ctx.smra_params, max_cycles,
-                                        now=now)
-        if tracer is not None:
-            tracer.emit("launch", now, members=list(outcome.members),
-                        cycles=outcome.cycles, group_index=len(groups))
-        groups.append(ScheduledGroup(start_cycle=now, outcome=outcome))
-        for name in outcome.members:
-            records[name] = AppRecord(
-                name=name,
-                arrival_cycle=arrival_cycle[name],
-                start_cycle=now,
-                finish_cycle=now + outcome.finish_cycle_of(name),
-                group_index=len(groups) - 1)
-        busy += outcome.cycles
-        now += outcome.cycles
-        if tracer is not None:
-            tracer.emit("group_finish", now, members=list(outcome.members),
-                        group_index=len(groups) - 1)
-        if metrics is not None:
-            metrics.counter("stream.groups").inc()
-            metrics.histogram("stream.group_cycles").observe(outcome.cycles)
-        policy.on_group_finish(outcome, now, ctx)
-
-    if speculation is not None:
-        speculation.close()
+    fleet = run_fleet(arrivals, RoundRobinPlacement(), lambda _i: policy,
+                      ctx, num_devices=1, max_cycles=max_cycles,
+                      speculation=speculation, telemetry=telemetry)
+    device = fleet.devices[0]
     return StreamOutcome(policy=policy.name, config=ctx.config,
-                         groups=groups, records=records, makespan=now,
-                         busy_cycles=busy)
+                         groups=device.groups, records=fleet.records,
+                         makespan=fleet.makespan,
+                         busy_cycles=device.busy_cycles)
 
 
 def drain_queue(queue: Queue, policy: Policy, ctx: PolicyContext,
@@ -254,18 +161,12 @@ def drain_queue(queue: Queue, policy: Policy, ctx: PolicyContext,
     metrics = telemetry.metrics if telemetry is not None else None
     profiler = telemetry.profiler if telemetry is not None else None
 
-    if profiler is not None:
-        with profiler.phase("solver"):
-            planned = policy.plan(queue, ctx)
-        with profiler.phase("simulate"):
-            outcomes = executor.run_groups(planned, ctx.config,
-                                           ctx.smra_params, max_cycles,
-                                           backend=ctx.backend)
-    else:
+    with phase_of(profiler, "solver"):
         planned = policy.plan(queue, ctx)
-        outcomes = executor.run_groups(planned, ctx.config,
-                                       ctx.smra_params, max_cycles,
-                                       backend=ctx.backend)
+    with phase_of(profiler, "simulate"):
+        outcomes = executor.run_device_groups(
+            [(g, ctx.config, ctx.smra_params) for g in planned],
+            max_cycles, backend=ctx.backend)
 
     if tracer is not None or metrics is not None:
         now = 0

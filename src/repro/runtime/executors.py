@@ -1,9 +1,9 @@
 """Executors: how planned work is turned into simulation results.
 
-The scheduling layers (batch ``run_queue``, online ``run_stream``,
-interference measurement) describe *what* to simulate — co-execution
-groups, solo profiles, pair co-runs.  An executor decides *where* those
-simulations run:
+The scheduling layers (batch ``drain_queue``, the ``run_fleet`` event
+loop behind ``run_stream``, interference measurement) describe *what*
+to simulate — co-execution groups, solo profiles, pair co-runs.  An
+executor decides *where* those simulations run:
 
 * :class:`SerialExecutor` — in-process, one after another.  This is the
   seed scheduler's behavior and the default everywhere; results are
@@ -17,7 +17,7 @@ simulations run:
   indistinguishable from serial execution except in wall-clock time.
 
 Workers share solo profiles with the parent (and with each other)
-through the PR-1 on-disk profile cache: a worker's ``Profiler`` writes
+through the on-disk profile cache: a worker's ``Profiler`` writes
 the cache file atomically and the parent primes its in-memory cache from
 the returned metrics.
 """
@@ -158,20 +158,14 @@ class Executor:
     name = "base"
     workers = 1
 
-    def run_groups(self, groups: Sequence[PlannedGroup], config: GPUConfig,
-                   smra_params: SMRAParams = SMRAParams(),
-                   max_cycles: int = DEFAULT_MAX_CYCLES,
-                   backend: str = "event") -> List[GroupOutcome]:
-        raise NotImplementedError
-
     def run_device_groups(self, jobs: Sequence[
                               Tuple[PlannedGroup, GPUConfig, SMRAParams]],
                           max_cycles: int = DEFAULT_MAX_CYCLES,
                           backend: str = "event") -> List[GroupOutcome]:
-        """Like :meth:`run_groups`, but each job carries its own device
-        configuration — the heterogeneous-fleet fan-out, where the
-        same-instant launches of one fleet event land on devices with
-        different :class:`GPUConfig`\\ s (and SMRA parameters)."""
+        """Simulate each ``(group, config, smra_params)`` job on a fresh
+        device; outcomes come back in job order.  Each job carries its
+        own device configuration, so one batch may mix the devices of a
+        heterogeneous fleet."""
         raise NotImplementedError
 
     def submit_group(self, group: PlannedGroup, config: GPUConfig,
@@ -228,12 +222,6 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run_groups(self, groups, config, smra_params=SMRAParams(),
-                   max_cycles=DEFAULT_MAX_CYCLES, backend="event"):
-        return [run_group(g, config, smra_params, max_cycles,
-                          backend=backend)
-                for g in groups]
-
     def run_device_groups(self, jobs, max_cycles=DEFAULT_MAX_CYCLES,
                           backend="event"):
         return [run_group(group, config, smra_params, max_cycles,
@@ -285,16 +273,8 @@ class ParallelExecutor(Executor):
         # which worker finishes first — the deterministic merge.
         return list(self._ensure_pool().map(fn, jobs))
 
-    def run_groups(self, groups, config, smra_params=SMRAParams(),
-                   max_cycles=DEFAULT_MAX_CYCLES, backend="event"):
-        return self._map(_group_job,
-                         [(g, config, smra_params, max_cycles, backend)
-                          for g in groups])
-
     def run_device_groups(self, jobs, max_cycles=DEFAULT_MAX_CYCLES,
                           backend="event"):
-        # _group_job already carries the config per job, so the
-        # heterogeneous fan-out reuses the same worker entry point.
         return self._map(_group_job,
                          [(group, config, smra_params, max_cycles, backend)
                           for group, config, smra_params in jobs])

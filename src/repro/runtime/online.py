@@ -155,7 +155,7 @@ class BatchPolicyAdapter(OnlinePolicy):
             planned = self.policy.plan(list(self.waiting), ctx)
             if not planned:
                 # Clearing `waiting` here would silently drop the apps
-                # and defeat run_stream's stalled-policy guard.
+                # and defeat the event loop's stalled-policy guard.
                 raise RuntimeError(
                     f"policy {self.name!r} planned no groups for a "
                     f"backlog of {len(self.waiting)} applications")

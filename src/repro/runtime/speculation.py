@@ -1,9 +1,10 @@
 """Speculative execution: pre-simulated groups + out-of-order devices.
 
-The stream and fleet event loops are deterministic but *clock-serial*:
-the virtual clock blocks on every in-flight group, so a process pool
-only helps when several launches share one instant.  Two observations
-unlock far more parallelism without changing a single result:
+The fleet event loop (streams are one-device fleets) is deterministic
+but *clock-serial*: the virtual clock blocks on every in-flight group,
+so a process pool only helps when several launches share one instant.
+Two observations unlock far more parallelism without changing a single
+result:
 
 1. **Group results are pure.**  ``run_group`` simulates a fresh device
    per group, so an outcome depends only on (membership, partitions,
@@ -44,10 +45,9 @@ the counters below are reported *next to* a result (CLI stdout,
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import REGISTRY
 
@@ -56,6 +56,7 @@ from repro.core.scheduler import GroupOutcome, run_group
 from repro.core.smra import SMRAParams
 
 from repro.gpusim import GPUConfig
+from repro.obs import phase_of
 
 from .executors import DEFAULT_MAX_CYCLES, Executor
 
@@ -180,12 +181,12 @@ class _DoneFuture:
 class SpeculativeSimulator:
     """Store of in-flight speculative simulations, keyed by purity key.
 
-    One simulator serves one run (one stream, or one fleet — tags keep
-    per-source prediction chains apart: the stream uses a single tag,
-    the fleet one tag per device id).  All decisions — what to predict,
-    what counts as a hit, what to discard — happen on the caller's
-    virtual clock, so counters and results are bit-identical for any
-    worker count.
+    One simulator serves one fleet run (a stream is a one-device
+    fleet).  Store entries are tagged with the device id, which keeps
+    each device's prediction chain apart.  All decisions — what to
+    predict, what counts as a hit, what to discard — happen on the
+    caller's virtual clock, so counters and results are bit-identical
+    for any worker count.
     """
 
     def __init__(self, executor: Executor, strategy: SpeculationStrategy,
@@ -206,7 +207,7 @@ class SpeculativeSimulator:
         if telemetry is not None:
             self.attach_telemetry(telemetry)
         #: tag → {purity key → (future, generation)}.
-        self._store: Dict[Hashable, Dict[Tuple, Tuple[Any, int]]] = {}
+        self._store: Dict[int, Dict[Tuple, Tuple[Any, int]]] = {}
         #: monotonically increasing prediction-round counter.
         self._gen = 0
         #: tag → generation of its most recent prediction round.  A
@@ -215,7 +216,7 @@ class SpeculativeSimulator:
         #: current launch, so the current round's entries are for
         #: future launches and a miss on the current one says nothing
         #: about them.
-        self._fresh: Dict[Hashable, int] = {}
+        self._fresh: Dict[int, int] = {}
 
     def attach_telemetry(self, telemetry) -> None:
         """Observe this simulator with `telemetry` (idempotent)."""
@@ -224,14 +225,9 @@ class SpeculativeSimulator:
         self._metrics = telemetry.metrics
         self._profiler = telemetry.profiler
 
-    @staticmethod
-    def _device_of(tag: Hashable) -> Optional[int]:
-        """Fleet tags are device ids; the stream tag maps to no device."""
-        return tag if isinstance(tag, int) else None
-
     # -- prediction --------------------------------------------------------
 
-    def predict(self, tag: Hashable, policy, now: int, ctx: PolicyContext,
+    def predict(self, tag: int, policy, now: int, ctx: PolicyContext,
                 max_cycles: int = DEFAULT_MAX_CYCLES) -> None:
         """Replay `policy` (a deep copy) to pre-simulate likely successors.
 
@@ -247,17 +243,12 @@ class SpeculativeSimulator:
         gen = self._fresh[tag] = self._gen
         if len(store) >= self.strategy.depth:
             return
-        if self._profiler is not None:
-            with self._profiler.phase("predict"):
-                submitted = self._predict_round(store, gen, policy, now,
-                                                ctx, max_cycles)
-        else:
+        with phase_of(self._profiler, "predict"):
             submitted = self._predict_round(store, gen, policy, now, ctx,
                                             max_cycles)
         if submitted:
             if self._tracer is not None:
-                self._tracer.emit("predict", now,
-                                  device=self._device_of(tag),
+                self._tracer.emit("predict", now, device=tag,
                                   submitted=submitted)
             if self._metrics is not None:
                 self._metrics.counter("spec.submitted").inc(submitted)
@@ -287,29 +278,19 @@ class SpeculativeSimulator:
 
     # -- consumption -------------------------------------------------------
 
-    def fetch(self, tag: Hashable, group: PlannedGroup, config: GPUConfig,
-              smra_params: SMRAParams,
-              max_cycles: int = DEFAULT_MAX_CYCLES,
-              now: Optional[int] = None) -> GroupOutcome:
-        """The outcome for `group`: a store hit, or simulate on demand.
-
-        A miss invalidates `tag`'s *stale* prediction chain — every
-        entry predicted before the current round diverged from the
-        real future and is discarded unobserved.  Entries from the
-        current round survive: they predict the launches *after* this
-        one.
-        """
-        return self.fetch_batch(
-            [(tag, group, config, smra_params)], max_cycles, now=now)[0]
-
-    def fetch_batch(self, jobs: Sequence[Tuple[Hashable, PlannedGroup,
+    def fetch_batch(self, jobs: Sequence[Tuple[int, PlannedGroup,
                                                GPUConfig, SMRAParams]],
                     max_cycles: int = DEFAULT_MAX_CYCLES,
                     now: Optional[int] = None) -> List[GroupOutcome]:
-        """Like :meth:`fetch` for one instant's batch of launches.
+        """The outcomes for one instant's batch of launches.
 
-        Hits resolve from the store; misses fan out through the
-        executor as one batch (in job order, the deterministic merge).
+        Each job is ``(tag, group, config, smra_params)``.  Hits resolve
+        from the store; misses fan out through the executor as one
+        batch (in job order, the deterministic merge).  A miss
+        invalidates its tag's *stale* prediction chain — every entry
+        predicted before the current round diverged from the real
+        future and is discarded unobserved.  Entries from the current
+        round survive: they predict the launches *after* this one.
         `now` is purely observational — the virtual cycle stamped onto
         ``spec_hit``/``spec_miss`` trace events.
         """
@@ -317,7 +298,7 @@ class SpeculativeSimulator:
         futures: List[Any] = [None] * len(jobs)
         miss_indices: List[int] = []
         miss_jobs = []
-        checks: List[Tuple[int, Tuple[Hashable, PlannedGroup, GPUConfig,
+        checks: List[Tuple[int, Tuple[int, PlannedGroup, GPUConfig,
                                       SMRAParams]]] = []
         for idx, (tag, group, config, smra_params) in enumerate(jobs):
             key = group_key(group, config, smra_params, max_cycles)
@@ -328,8 +309,7 @@ class SpeculativeSimulator:
                 futures[idx] = entry[0]
                 self.counters.hits += 1
                 if self._tracer is not None:
-                    self._tracer.emit("spec_hit", cycle,
-                                      device=self._device_of(tag),
+                    self._tracer.emit("spec_hit", cycle, device=tag,
                                       members=members)
                 if self._metrics is not None:
                     self._metrics.counter("spec.hits").inc()
@@ -339,36 +319,27 @@ class SpeculativeSimulator:
                 self._discard_stale(tag)
                 self.counters.misses += 1
                 if self._tracer is not None:
-                    self._tracer.emit("spec_miss", cycle,
-                                      device=self._device_of(tag),
+                    self._tracer.emit("spec_miss", cycle, device=tag,
                                       members=members)
                 if self._metrics is not None:
                     self._metrics.counter("spec.misses").inc()
                 miss_indices.append(idx)
                 miss_jobs.append((group, config, smra_params))
         if miss_jobs:
-            if self._profiler is not None:
-                with self._profiler.phase("simulate"):
-                    outcomes = self.executor.run_device_groups(
-                        miss_jobs, max_cycles, backend=self.backend)
-            else:
+            with phase_of(self._profiler, "simulate"):
                 outcomes = self.executor.run_device_groups(
                     miss_jobs, max_cycles, backend=self.backend)
             for idx, outcome in zip(miss_indices, outcomes):
                 futures[idx] = _DoneFuture(outcome)
         results = [fut.result() for fut in futures]
-        if checks and self._profiler is not None:
-            with self._profiler.phase("commit-check"):
-                for idx, (tag, group, config, smra_params) in checks:
+        if checks:
+            with phase_of(self._profiler, "commit-check"):
+                for idx, (_tag, group, config, smra_params) in checks:
                     self._commit_check(group, config, smra_params,
                                        max_cycles, results[idx])
-        else:
-            for idx, (tag, group, config, smra_params) in checks:
-                self._commit_check(group, config, smra_params, max_cycles,
-                                   results[idx])
         return results
 
-    def stash(self, tag: Hashable, group: PlannedGroup, config: GPUConfig,
+    def stash(self, tag: int, group: PlannedGroup, config: GPUConfig,
               smra_params: SMRAParams, max_cycles: int,
               outcome: GroupOutcome) -> None:
         """Keep a rolled-back run-ahead outcome for its likely re-launch.
@@ -383,7 +354,7 @@ class SpeculativeSimulator:
         store.setdefault(key, (_DoneFuture(outcome),
                                self._fresh.get(tag, 0)))
 
-    def _discard_stale(self, tag: Hashable) -> None:
+    def _discard_stale(self, tag: int) -> None:
         """Drop `tag` entries predicted before its current round."""
         store = self._store.get(tag)
         if not store:
@@ -394,7 +365,7 @@ class SpeculativeSimulator:
             store.pop(key)[0].cancel()
         self.counters.discarded += len(stale)
 
-    def discard(self, tag: Hashable) -> None:
+    def discard(self, tag: int) -> None:
         """Drop every stored entry for `tag`, unobserved.
 
         Called when a device fails or recovers (its policy is drained

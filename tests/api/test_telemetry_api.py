@@ -170,19 +170,27 @@ class TestObservationDeterminism:
         assert result.telemetry["profile"]["simulate"]["calls"] > 0
 
 
+TRACE_DIR = (pathlib.Path(__file__).resolve().parents[2]
+             / "examples" / "traces")
+
+#: (scenario, committed golden trace) pairs a fresh run must reproduce.
+GOLDEN_TRACES = [("fleet_faults.json", "fleet_faults_trace.jsonl"),
+                 ("stream_poisson.json", "stream_poisson_trace.jsonl")]
+
+
+@pytest.mark.parametrize("scenario,golden", GOLDEN_TRACES,
+                         ids=["fleet_faults", "stream_poisson"])
 class TestCommittedTrace:
-    """The committed example trace is a golden: a fresh run reproduces
-    it byte-for-byte and it lints clean."""
+    """The committed example traces are goldens: a fresh run reproduces
+    each byte-for-byte and it lints clean."""
 
-    TRACE = (pathlib.Path(__file__).resolve().parents[2]
-             / "examples" / "traces" / "fleet_faults_trace.jsonl")
-
-    def test_fresh_run_reproduces_committed_trace(self):
+    def test_fresh_run_reproduces_committed_trace(self, scenario, golden):
         telemetry = make_telemetry("trace")
-        run_scenario(load("fleet_faults.json"), telemetry=telemetry)
-        assert export_jsonl(telemetry.events) == self.TRACE.read_text()
+        run_scenario(load(scenario), telemetry=telemetry)
+        assert (export_jsonl(telemetry.events)
+                == (TRACE_DIR / golden).read_text())
 
-    def test_committed_trace_lints_clean(self):
+    def test_committed_trace_lints_clean(self, scenario, golden):
         import importlib.util
         tool = (pathlib.Path(__file__).resolve().parents[2]
                 / "tools" / "validate_trace.py")
@@ -190,4 +198,14 @@ class TestCommittedTrace:
                                                       tool)
         lint = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(lint)
-        assert lint.validate_file(str(self.TRACE)) == []
+        assert lint.validate_file(str(TRACE_DIR / golden)) == []
+
+
+class TestStreamTrace:
+    def test_arrivals_stamped_at_their_arrival_cycle(self):
+        telemetry = make_telemetry("trace")
+        run_scenario(load("stream_poisson.json"), telemetry=telemetry)
+        arrivals = [ev for ev in telemetry.events if ev.kind == "arrival"]
+        assert arrivals
+        for ev in arrivals:
+            assert ev.cycle == ev.data["arrival_cycle"], ev.app

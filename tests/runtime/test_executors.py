@@ -102,33 +102,40 @@ class TestWorkersFromEnv:
             workers_from_env()
 
 
+def device_jobs(groups, config, params=SMRAParams()):
+    return [(g, config, params) for g in groups]
+
+
 class TestRunGroups:
     def test_serial_matches_direct_run_group(self, small_cfg):
         groups = planned_groups()
         params = SMRAParams(interval=500)
         direct = [run_group(g, small_cfg, params) for g in planned_groups()]
-        via_exec = SerialExecutor().run_groups(groups, small_cfg, params)
+        via_exec = SerialExecutor().run_device_groups(
+            device_jobs(groups, small_cfg, params))
         for a, b in zip(direct, via_exec):
             assert_outcomes_identical(a, b)
 
     def test_parallel_identical_to_serial(self, small_cfg, pool):
         params = SMRAParams(interval=500)
-        serial = SerialExecutor().run_groups(planned_groups(), small_cfg,
-                                             params)
-        parallel = pool.run_groups(planned_groups(), small_cfg, params)
+        serial = SerialExecutor().run_device_groups(
+            device_jobs(planned_groups(), small_cfg, params))
+        parallel = pool.run_device_groups(
+            device_jobs(planned_groups(), small_cfg, params))
         assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
             assert_outcomes_identical(a, b)
 
     def test_parallel_preserves_smra_controller(self, small_cfg, pool):
-        outcomes = pool.run_groups(planned_groups(), small_cfg,
-                                   SMRAParams(interval=500))
+        outcomes = pool.run_device_groups(
+            device_jobs(planned_groups(), small_cfg,
+                        SMRAParams(interval=500)))
         assert outcomes[0].smra is None
         assert outcomes[1].smra is not None
 
     def test_empty_groups(self, small_cfg, pool):
-        assert pool.run_groups([], small_cfg) == []
-        assert SerialExecutor().run_groups([], small_cfg) == []
+        assert pool.run_device_groups([]) == []
+        assert SerialExecutor().run_device_groups([]) == []
 
 
 class TestRunPairs:

@@ -91,14 +91,16 @@ class TestStoreProtocol:
         group = PlannedGroup(members=list(specs(2).items()))
         policy = OnlineFCFS(2)
         policy.waiting = list(group.members)
-        sim.predict("t", policy, 0, ctx, 100000)
+        sim.predict(0, policy, 0, ctx, 100000)
         assert sim.counters.submitted == 1
-        outcome = sim.fetch("t", group, ctx.config, ctx.smra_params, 100000)
+        outcome = sim.fetch_batch(
+            [(0, group, ctx.config, ctx.smra_params)], 100000)[0]
         assert list(outcome.members) == [n for n, _s in group.members]
         assert sim.counters.hits == 1
         assert sim.counters.misses == 0
         # The hit was popped: fetching again simulates on demand.
-        sim.fetch("t", group, ctx.config, ctx.smra_params, 100000)
+        sim.fetch_batch(
+            [(0, group, ctx.config, ctx.smra_params)], 100000)
         assert sim.counters.misses == 1
 
     def test_miss_discards_stale_chain_but_not_fresh(self, ctx):
@@ -107,21 +109,23 @@ class TestStoreProtocol:
                                    full_strategy(depth=2))
         stale = OnlineFCFS(2)
         stale.waiting = suite[:2]
-        sim.predict("t", stale, 0, ctx, 100000)
+        sim.predict(0, stale, 0, ctx, 100000)
         assert sim.counters.submitted == 1
         # A new prediction round with a diverged queue, then a fetch
         # that misses: the first round's entry is stale and drops,
         # the current round's survives for the *next* launch.
         fresh = OnlineFCFS(2)
         fresh.waiting = suite[2:4]
-        sim.predict("t", fresh, 0, ctx, 100000)
+        sim.predict(0, fresh, 0, ctx, 100000)
         assert sim.counters.submitted == 2
         probe = PlannedGroup(members=[suite[0], suite[3]])
-        sim.fetch("t", probe, ctx.config, ctx.smra_params, 100000)
+        sim.fetch_batch(
+            [(0, probe, ctx.config, ctx.smra_params)], 100000)
         assert sim.counters.misses == 1
         assert sim.counters.discarded == 1
-        outcome = sim.fetch("t", PlannedGroup(members=suite[2:4]),
-                            ctx.config, ctx.smra_params, 100000)
+        outcome = sim.fetch_batch(
+            [(0, PlannedGroup(members=suite[2:4]), ctx.config,
+              ctx.smra_params)], 100000)[0]
         assert sim.counters.hits == 1
         assert list(outcome.members) == [n for n, _s in suite[2:4]]
 
@@ -129,8 +133,8 @@ class TestStoreProtocol:
         sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
         policy = OnlineFCFS(2)
         policy.waiting = list(specs(4).items())
-        sim.predict("a", policy, 0, ctx, 100000)
-        sim.predict("b", policy, 0, ctx, 100000)
+        sim.predict(0, policy, 0, ctx, 100000)
+        sim.predict(1, policy, 0, ctx, 100000)
         submitted = sim.counters.submitted
         sim.close()
         assert sim.counters.discarded == submitted
@@ -142,17 +146,19 @@ class TestStoreProtocol:
         wrong = PlannedGroup(members=suite[2:])
         poison = run_group(wrong, ctx.config, ctx.smra_params, 100000)
         # Stash a *different* group's outcome under `right`'s key.
-        sim.stash("t", right, ctx.config, ctx.smra_params, 100000, poison)
+        sim.stash(0, right, ctx.config, ctx.smra_params, 100000, poison)
         with pytest.raises(RuntimeError, match="commit check"):
-            sim.fetch("t", right, ctx.config, ctx.smra_params, 100000)
+            sim.fetch_batch(
+                [(0, right, ctx.config, ctx.smra_params)], 100000)
 
     def test_stash_serves_a_relaunch(self, ctx):
         suite = list(specs(2).items())
         sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
         group = PlannedGroup(members=suite)
         outcome = run_group(group, ctx.config, ctx.smra_params, 100000)
-        sim.stash("t", group, ctx.config, ctx.smra_params, 100000, outcome)
-        served = sim.fetch("t", group, ctx.config, ctx.smra_params, 100000)
+        sim.stash(0, group, ctx.config, ctx.smra_params, 100000, outcome)
+        served = sim.fetch_batch(
+            [(0, group, ctx.config, ctx.smra_params)], 100000)[0]
         assert outcome_fingerprint(served) == outcome_fingerprint(outcome)
         assert sim.counters.hits == 1
 
