@@ -18,7 +18,7 @@ and writes ``BENCH_fleet.json`` at the repo root with two scenarios:
   loop, reported as the same ``events_per_sec`` figure so the
   regression gate tracks it next to the healthy drains.
 * ``speculative_drain`` — a busy (backlogged) stream on one device and
-  the 4-device fleet drain, each with speculation ``full`` vs off:
+  the 4-device fleet drain, each with speculation ``groups`` vs off:
   events/s, speedup, and the speculation hit rate, asserting the
   speculative results are identical to the plain path.
 * ``telemetry_overhead`` — the least-loaded drain with telemetry off
@@ -202,12 +202,12 @@ def _stream_fingerprint(outcome):
 
 def _speculative_drain(arrivals, ctx, devices, workers,
                        fleet_serial_s, fleet_serial_out) -> dict:
-    """Speculation ``full`` vs off: a busy 1-device stream + the fleet.
+    """Speculation ``groups`` vs off: a busy 1-device stream + the fleet.
 
     The stream side keeps one device backlogged (every app arrives at
     cycle 0), so predicted next groups pre-simulate on idle workers
-    while the clock blocks on the in-flight one; the fleet side adds
-    run-ahead windows.  Both assert the speculative result is
+    while the clock blocks on the in-flight one; the fleet side
+    predicts per device.  Both assert the speculative result is
     identical to the plain path — the speedup is only a speedup.
     """
     from repro.api.registry import REGISTRY
@@ -217,7 +217,7 @@ def _speculative_drain(arrivals, ctx, devices, workers,
     from repro.runtime.engine import Arrival
 
     cores = os.cpu_count() or 1
-    strategy = REGISTRY.create("speculation", "full")
+    strategy = REGISTRY.create("speculation", "groups")
 
     # -- busy 1-stream: all arrivals at cycle 0, one device ----------------
     busy = [Arrival(cycle=0, name=a.name, spec=a.spec) for a in arrivals]
@@ -232,7 +232,7 @@ def _speculative_drain(arrivals, ctx, devices, workers,
     stream_identical = (_stream_fingerprint(stream_plain)
                         == _stream_fingerprint(stream_spec))
 
-    # -- fleet drain: run-ahead windows + prediction ------------------------
+    # -- fleet drain: per-device prediction ---------------------------------
     with ParallelExecutor(workers) as pool:
         speculation = make_speculation(strategy, pool)
         fleet_spec_s, fleet_spec_out = _timed(lambda: run_fleet(
@@ -265,9 +265,8 @@ def _speculative_drain(arrivals, ctx, devices, workers,
             "events_per_sec": round(
                 _fleet_events(fleet_spec_out) / fleet_spec_s, 1),
             "hit_rate": round(fleet_counters.hit_rate, 4),
-            "windows": fleet_counters.windows,
-            "rollbacks": fleet_counters.rollbacks,
-            "ahead_events": fleet_counters.ahead_events,
+            "hits": fleet_counters.hits,
+            "misses": fleet_counters.misses,
             "identical": fleet_identical,
         },
     }

@@ -61,7 +61,7 @@ class RunResult:
     #: engine version, schema version, seed, spec hash.
     provenance: Dict[str, Any]
 
-    #: Speculation counters (hits/misses/rollbacks…), attached by
+    #: Speculation counters (hits/misses/discarded…), attached by
     #: :func:`run_scenario` when the scenario enables speculation.
     #: Deliberately a ``ClassVar``, not a dataclass field: counters
     #: describe how the run executed, not what it computed, so they

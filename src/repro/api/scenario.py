@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -303,6 +304,12 @@ class DeviceSpec:
         return _decode(cls, data, "devices")
 
 
+#: Retired fleet run-ahead kinds → the kind each now runs as.
+#: ``spec_hash`` drops the speculation block, so old scenario files
+#: keep their identity.
+_LEGACY_SPECULATION = {"devices": "none", "full": "groups"}
+
+
 @dataclass(frozen=True)
 class SpeculationSpec:
     """Speculative-execution strategy for a stream or fleet scenario.
@@ -312,10 +319,11 @@ class SpeculationSpec:
     * ``none`` — no speculation; canonicalized away (the spec compares
       and serializes identically to leaving ``speculation`` out);
     * ``groups`` — predict + pre-simulate each device's likely next
-      groups while the clock is blocked on an in-flight one;
-    * ``devices`` — fleet devices run ahead of the global clock up to
-      the safe horizon, with rollback (Time-Warp style);
-    * ``full`` — both.
+      groups while the clock is blocked on an in-flight one.
+
+    The retired run-ahead kinds still load, with one
+    ``DeprecationWarning`` each: ``devices`` becomes ``none`` and
+    ``full`` becomes ``groups`` (see :data:`_LEGACY_SPECULATION`).
 
     Speculation is an execution strategy, never part of the result's
     identity: results are bit-identical with any kind (and any worker
@@ -332,6 +340,12 @@ class SpeculationSpec:
     commit_check: bool = False
 
     def __post_init__(self):
+        if self.kind in _LEGACY_SPECULATION:
+            kind = _LEGACY_SPECULATION[self.kind]
+            warnings.warn(f"speculation kind {self.kind!r} is deprecated "
+                          f"(fleet run-ahead was removed); running it as "
+                          f"{kind!r}", DeprecationWarning, stacklevel=3)
+            object.__setattr__(self, "kind", kind)
         _check_registry("speculation", self.kind)
         _require(isinstance(self.depth, int)
                  and not isinstance(self.depth, bool) and self.depth >= 1,
@@ -820,7 +834,7 @@ class Scenario:
 
         The execution block is normalized by :func:`normalize_execution`
         before hashing, so a serial run and a ``--workers 4
-        --speculation full --backend vector --trace out.jsonl`` run of
+        --speculation groups --backend vector --trace out.jsonl`` run of
         the same scenario share one hash (and their result JSONs compare
         byte-equal).
         """

@@ -437,10 +437,7 @@ def _print_speculation(result: RunResult,
           f"{counters['misses']} miss(es) "
           f"(hit rate {counters['hit_rate']:.2f}), "
           f"{counters['submitted']} submitted, "
-          f"{counters['discarded']} discarded, "
-          f"{counters['windows']} window(s), "
-          f"{counters['rollbacks']} rollback(s), "
-          f"{counters['ahead_events']} ahead event(s)")
+          f"{counters['discarded']} discarded")
     if report_path:
         pathlib.Path(report_path).write_text(
             json.dumps(counters, sort_keys=True, indent=2) + "\n")
@@ -782,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(results are bit-identical for any value)")
     p.add_argument("--speculation-report", default=None, metavar="PATH",
                    help="write the speculation counters (hits, misses, "
-                        "rollbacks, ...) to this JSON file")
+                        "discarded, ...) to this JSON file")
     add_telemetry_arguments(p, trace_flag="--trace")
 
     p = sub.add_parser("sweep", help="run a base scenario x parameter grid")
@@ -929,9 +926,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "simulations and profiling")
     p.add_argument("--speculation", default="none",
                    choices=REGISTRY.names("speculation"),
-                   help="speculative execution: pre-simulated groups "
-                        "and/or out-of-order device run-ahead (results "
-                        "are bit-identical; default none)")
+                   help="pre-simulate predicted next groups on idle "
+                        "workers (results are bit-identical; default "
+                        "none)")
     p.add_argument("--faults", default="none",
                    choices=REGISTRY.names("faults"),
                    help="fault injection: scheduled events, mtbf churn, "

@@ -53,11 +53,8 @@ class Device:
         self.device_id = device_id
         self.policy = policy
         self.ctx = ctx
-        #: Optional :class:`~repro.obs.Tracer`; the fleet loop attaches
-        #: it on the serial path and detaches it while a run-ahead
-        #: window executes optimistically (committed entries are
-        #: re-emitted by the window itself), so traces only ever
-        #: describe the committed timeline.
+        #: Optional :class:`~repro.obs.Tracer`, attached by the fleet
+        #: loop when the run is traced.
         self.tracer = None
         #: Applications assigned here and not yet finished (waiting or
         #: running) — the "queue" of join-shortest-queue placement and
@@ -279,36 +276,3 @@ class Device:
         if not self.up and self._down_since is not None:
             self.down_cycles += max(0, at - self._down_since)
             self._down_since = at
-
-    def snapshot(self) -> tuple:
-        """Freeze every mutable field except the policy.
-
-        The fleet's run-ahead windows snapshot a device before letting
-        it run past the global clock; :meth:`restore` rewinds it when a
-        straggler invalidates the window.  The policy object is *not*
-        included — it mutates internally, so the caller snapshots it
-        separately (a deep copy) and reassigns :attr:`policy` on
-        rollback.
-        """
-        return (list(self.resident), list(self.groups), self.busy_cycles,
-                self.completion_cycle, list(self._running), self.up,
-                self.lost_cycles, self.down_cycles,
-                list(self.failed_groups), self._down_since,
-                self._inflight_failed)
-
-    def restore(self, state: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (run-ahead rollback)."""
-        (resident, groups, busy_cycles, completion_cycle, running, up,
-         lost_cycles, down_cycles, failed_groups, down_since,
-         inflight_failed) = state
-        self.resident = list(resident)
-        self.groups = list(groups)
-        self.busy_cycles = busy_cycles
-        self.completion_cycle = completion_cycle
-        self._running = list(running)
-        self.up = up
-        self.lost_cycles = lost_cycles
-        self.down_cycles = down_cycles
-        self.failed_groups = list(failed_groups)
-        self._down_since = down_since
-        self._inflight_failed = inflight_failed

@@ -32,7 +32,6 @@ stream metrics of :mod:`repro.analysis.streams` apply unchanged and
 from __future__ import annotations
 
 import bisect
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -53,40 +52,6 @@ from .placement import PlacementPolicy
 
 #: Builds one fresh policy per device (called with the device id).
 PolicyFactory = Callable[[int], OnlinePolicy]
-
-
-class _AheadDevice:
-    """One device's optimistic local timeline inside a run-ahead window.
-
-    Snapshots (device fields + a deep policy copy) are taken at window
-    entry so a straggler barrier can rewind the device; ``log`` records
-    every optimistic event — ``("retire", cycle)`` and ``("launch",
-    cycle, group, outcome, failed, group_index)`` — for the commit /
-    rollback decision at window close.
-    """
-
-    __slots__ = ("device", "local_now", "log", "policy_snap", "dev_snap",
-                 "active", "tracer_snap", "policy_tracer_snap")
-
-    def __init__(self, device: Device, now: int):
-        self.device = device
-        self.local_now = now
-        self.log: List[tuple] = []
-        # Detach tracers for the window's lifetime: optimistic events
-        # must never reach the trace (a rollback would leave phantom
-        # entries).  The window re-emits exactly the committed log at
-        # close and then restores both attachments.
-        self.tracer_snap = device.tracer
-        device.tracer = None
-        self.policy_tracer_snap = device.policy.tracer
-        device.policy.tracer = None
-        self.policy_snap = copy.deepcopy(device.policy)
-        self.dev_snap = device.snapshot()
-        self.active = True
-
-    def restore_tracers(self) -> None:
-        self.device.tracer = self.tracer_snap
-        self.device.policy.tracer = self.policy_tracer_snap
 
 
 @dataclass
@@ -220,36 +185,25 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
 
     `speculation` (a :class:`~repro.runtime.speculation
     .SpeculativeSimulator`) overlaps simulation with the virtual clock
-    without changing any result.  With group speculation enabled, every
-    launch is preceded by predictions of the launching device's likely
-    *next* groups (a cloned policy replayed against its queue snapshot)
-    so workers pre-simulate them; a launch matching a prediction
-    commits the stored result (bit-identical by ``run_group``'s
-    purity), a mismatch discards it unobserved.  With run-ahead
-    enabled, whenever the clock would advance, devices run *ahead* of
-    it — retiring and launching on their own local timelines — up to
-    the **safe horizon**: the next instant at which work can move
-    across devices (an arrival, a fault event, an admission re-offer).
-    A transient failure discovered mid-window is a *straggler barrier*
-    (its requeue re-places work), so any device event past the earliest
-    barrier is rolled back: the device rewinds to its window snapshot
-    and deterministically replays its valid prefix.  Rolled-back
-    simulations are stashed for their likely re-launch.
+    without changing any result: every launch is preceded by
+    predictions of the launching device's likely *next* groups (a
+    cloned policy replayed against its queue snapshot) so workers
+    pre-simulate them; a launch matching a prediction commits the
+    stored result (bit-identical by ``run_group``'s purity), a mismatch
+    discards it unobserved.
 
     All of it is deterministic and bit-identical for any worker count
     and any speculation mode: every decision (placement, fault
     application, admission, transient failure draws) happens on this
-    loop's clock — at the same virtual instants and with the same state
-    as serial execution — never in a worker and never inside a window
-    that a barrier could invalidate.
+    loop's clock, never in a worker.  The clock advances one way only,
+    to the earliest pending event.
 
     `telemetry` (a :class:`~repro.obs.Telemetry`) observes the run —
     virtual-clock trace events, deterministic counters, wall-clock
     phase timers — without participating in it: every emission happens
-    on this loop's clock after the decision it describes, run-ahead
-    windows detach tracers while executing optimistically and re-emit
-    only committed entries, and the returned :class:`FleetOutcome` is
-    byte-identical with telemetry on or off.
+    on this loop's clock after the decision it describes, and the
+    returned :class:`FleetOutcome` is byte-identical with telemetry on
+    or off.
     """
     if num_devices < 1:
         raise ValueError("a fleet needs at least one device")
@@ -385,247 +339,6 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                 return
         place((a.name, a.spec))
 
-    def speculate_window() -> bool:
-        """One optimistic run-ahead window; True if events committed.
-
-        Devices run ahead of the global clock on their own local
-        timelines up to the safe horizon — the next instant at which
-        work can move *across* devices (arrival, fault event, deferred
-        re-offer).  Below it, a device's timeline depends only on its
-        own state, so every committed decision happens at the same
-        virtual instant with the same state as serial execution.  A
-        transient failure discovered mid-window is a straggler barrier
-        (its requeue at the failure's completion re-places work):
-        events past the earliest barrier roll back — the device rewinds
-        to its window snapshot and replays its valid prefix.  Retires
-        *at* the cutoff stay valid (completions retire before anything
-        is placed at that instant); launches at it do not.
-
-        On commit the global clock advances to the latest committed
-        instant — every committed event is strictly below the horizon,
-        so no arrival, fault event, or deferred re-offer is skipped,
-        and an unbounded tail drain leaves ``now`` at the serial
-        makespan.
-        """
-        nonlocal now
-        bounds = []
-        if i < n:
-            bounds.append(ordered[i].cycle)
-        if deferred:
-            bounds.append(deferred[0][0])
-        if eidx < len(events):
-            bounds.append(events[eidx].cycle)
-        horizon = min(bounds) if bounds else None
-        #: tightens as barriers appear, stopping run-ahead work that a
-        #: rollback would only throw away; None = unbounded tail drain.
-        limit = horizon
-
-        barriers: List[int] = []
-
-        def barrier(cycle: int) -> None:
-            nonlocal limit
-            barriers.append(cycle)
-            limit = cycle if limit is None else min(limit, cycle)
-
-        window: List[_AheadDevice] = []
-        for d in devices:
-            if not (d.busy and d.up):
-                continue
-            if horizon is not None and d.completion_cycle >= horizon:
-                continue  # the main loop owns events at the horizon
-            if d.inflight_failed:
-                barrier(d.completion_cycle)
-                continue
-            window.append(_AheadDevice(d, now))
-        if not window:
-            return False
-        counters = speculation.counters
-        counters.windows += 1
-        if tracer is not None:
-            tracer.emit("window_open", now, horizon=horizon,
-                        devices=[st.device.device_id for st in window])
-        if metrics is not None:
-            metrics.counter("spec.windows").inc()
-
-        # Round-based batching: each round advances every active device
-        # to its next launch decision (retiring along the way), then
-        # simulates the round's launches as one batch — devices at
-        # *different* virtual times fan out through the executor
-        # together, which the clock-serial loop never could.
-        while True:
-            jobs = []
-            for st in window:
-                if not st.active:
-                    continue
-                d = st.device
-                while True:
-                    if d.busy:
-                        c = d.completion_cycle
-                        if limit is not None and c >= limit:
-                            st.active = False
-                            break
-                        if d.inflight_failed:
-                            st.active = False
-                            barrier(c)
-                            break
-                        st.local_now = c
-                        retired = d.complete(ctx_of(d))
-                        st.log.append(("retire", c, retired))
-                    else:
-                        group = d.next_group(st.local_now, ctx_of(d))
-                        if group is None:
-                            st.active = False
-                            break
-                        jobs.append((st, group))
-                        break
-            if not jobs:
-                break
-            for st, group in jobs:
-                speculation.predict(st.device.device_id, st.device.policy,
-                                    st.local_now, ctx_of(st.device),
-                                    max_cycles)
-            outcomes = speculation.fetch_batch(
-                [(st.device.device_id, group, ctx_of(st.device).config,
-                  ctx_of(st.device).smra_params)
-                 for st, group in jobs], max_cycles, now=now)
-            for (st, group), outcome in zip(jobs, outcomes):
-                d = st.device
-                members = list(outcome.members)
-                failed = faults is not None and faults.group_fails(
-                    members, [retry_counts.get(m, 0) for m in members])
-                d.launch(outcome, st.local_now, failed=failed)
-                st.log.append(("launch", st.local_now, group, outcome,
-                               failed, len(d.groups) - 1))
-
-        cutoff = min(barriers) if barriers else horizon
-
-        def valid(entry) -> bool:
-            if cutoff is None:
-                return True
-            if entry[0] == "retire":
-                return entry[1] <= cutoff
-            return entry[1] < cutoff
-
-        committed = 0
-        latest = now
-        rolled_back: List[Tuple[int, int]] = []
-        for st in window:
-            d = st.device
-            keep = len(st.log)
-            for idx, entry in enumerate(st.log):
-                if not valid(entry):
-                    keep = idx
-                    break
-            if keep < len(st.log):
-                # Roll back: rewind to the window snapshot, replay the
-                # valid prefix, and stash rolled-back simulations for
-                # their likely re-launch after the barrier.
-                counters.rollbacks += 1
-                rolled_back.append((d.device_id, len(st.log) - keep))
-                for entry in st.log[keep:]:
-                    if entry[0] == "launch":
-                        _kind, _t, group, outcome, _failed, _gidx = entry
-                        speculation.stash(
-                            d.device_id, group, ctx_of(d).config,
-                            ctx_of(d).smra_params, max_cycles, outcome)
-                d.restore(st.dev_snap)
-                d.policy = st.policy_snap
-                for entry in st.log[:keep]:
-                    if entry[0] == "retire":
-                        d.complete(ctx_of(d))
-                        continue
-                    _kind, t, group, outcome, failed, _gidx = entry
-                    replayed = d.next_group(t, ctx_of(d))
-                    if (replayed is None
-                            or [m for m, _s in replayed.members]
-                            != list(outcome.members)):
-                        raise RuntimeError(
-                            f"device {d.device_id} policy "
-                            f"{d.policy.name!r} decided differently "
-                            f"under speculative replay; the policy is "
-                            f"not deterministic — run with speculation "
-                            f"disabled")
-                    d.launch(outcome, t, failed=failed)
-                st.log = st.log[:keep]
-            committed += keep
-            if st.log:
-                latest = max(latest, st.log[-1][1])
-
-        # Global bookkeeping for every committed launch — the same
-        # guards, active-set updates and records as the serial path.
-        # Merged across devices in (instant, device-id) order: that is
-        # the order the serial loop inserts records in, and the
-        # summary's float reductions are sensitive to it.
-        launched = sorted(
-            ((entry[1], st.device.device_id, st.device, entry)
-             for st in window for entry in st.log
-             if entry[0] == "launch"),
-            key=lambda item: (item[0], item[1]))
-        for t, _did, d, entry in launched:
-            _kind, _t, _group, outcome, failed, gidx = entry
-            members = list(outcome.members)
-            for name in members:
-                if name not in arrival_cycle:
-                    raise RuntimeError(
-                        f"device {d.device_id} policy "
-                        f"{d.policy.name!r} scheduled {name!r} "
-                        f"before its arrival")
-                if name in active:
-                    raise RuntimeError(
-                        f"device {d.device_id} policy "
-                        f"{d.policy.name!r} scheduled {name!r} twice")
-                if assignments[name] != d.device_id:
-                    raise RuntimeError(
-                        f"device {d.device_id} scheduled {name!r}, "
-                        f"which placement assigned to device "
-                        f"{assignments[name]}")
-            active.update(members)
-            if failed:
-                continue  # no records: the attempt will requeue
-            for name in members:
-                records[name] = FleetAppRecord(
-                    name=name,
-                    arrival_cycle=arrival_cycle[name],
-                    start_cycle=t,
-                    finish_cycle=t + outcome.finish_cycle_of(name),
-                    group_index=gidx,
-                    device=d.device_id,
-                    retries=retry_counts.get(name, 0))
-
-        counters.ahead_events += committed
-        if tracer is not None:
-            # Re-emit exactly the committed log, merged across devices
-            # in (instant, device-id) order — the order the serial loop
-            # would have produced.  Optimistic events that rolled back
-            # were never emitted (tracers were detached), so the trace
-            # describes the committed timeline only.
-            for _t, _did, st, entry in sorted(
-                    ((entry[1], st.device.device_id, st, entry)
-                     for st in window for entry in st.log),
-                    key=lambda item: (item[0], item[1])):
-                d = st.device
-                if entry[0] == "retire":
-                    tracer.emit("group_finish", entry[1],
-                                device=d.device_id,
-                                members=list(entry[2].members))
-                else:
-                    _kind, t, _group, outcome, failed, gidx = entry
-                    tracer.emit("launch", t, device=d.device_id,
-                                members=list(outcome.members),
-                                cycles=outcome.cycles, group_index=gidx,
-                                failed=failed)
-            for device_id, discarded in rolled_back:
-                tracer.emit("window_rollback", latest, device=device_id,
-                            barrier=cutoff, discarded=discarded)
-            tracer.emit("window_commit", latest, committed=committed)
-        if metrics is not None and rolled_back:
-            metrics.counter("spec.rollbacks").inc(len(rolled_back))
-        for st in window:
-            st.restore_tracers()
-        if committed:
-            now = latest
-        return committed > 0
-
     while True:
         # 1) retire every group finishing at `now` (device-id order);
         #    a transiently-failed attempt requeues instead of retiring.
@@ -760,9 +473,6 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                 or any(d.busy for d in devices)
                 or any(d.pending for d in devices)):
             break
-        if (speculation is not None and speculation.strategy.run_ahead
-                and speculate_window()):
-            continue  # committed optimistic progress; re-enter at the top
         due = [d.completion_cycle for d in devices if d.busy]
         if i < n:
             due.append(ordered[i].cycle)

@@ -2,8 +2,8 @@
 
 Every interesting decision of the execution loops — arrivals, admission
 verdicts, placement choices with per-candidate scores, launches, group
-retirements, faults, recoveries, requeues, speculation predict/hit/miss
-and run-ahead window open/commit/rollback — becomes one
+retirements, faults, recoveries, requeues and speculation
+predict/hit/miss — becomes one
 :class:`TraceEvent` stamped with the **virtual** cycle at which it
 happened.  Wall-clock time never appears in an event, which is what
 makes a trace comparable across worker counts: the same scenario run at
@@ -20,11 +20,9 @@ Two exporters:
   virtual cycles map to microsecond timestamps.  Launch events carry
   their duration, so group executions render as solid spans.
 
-The tracer is **rollback-aware by construction**: the fleet loop
-detaches device/policy tracers while a run-ahead window executes
-optimistically and re-emits only the committed entries (see
-``cluster/fleet.py``), so a trace always describes the committed
-timeline regardless of speculation strategy.
+Every event is emitted on the fleet loop's one clock, after the
+decision it describes, so a trace describes the timeline the result
+records regardless of speculation strategy.
 """
 
 from __future__ import annotations
@@ -54,15 +52,12 @@ EVENT_KINDS: Tuple[str, ...] = (
     "predict",          # speculation submitted pre-simulations
     "spec_hit",         # a needed group was already pre-simulated
     "spec_miss",        # a needed group had to be simulated on demand
-    "window_open",      # Time-Warp run-ahead window opened
-    "window_commit",    # window results committed to the real timeline
-    "window_rollback",  # one device's optimistic window state discarded
 )
 
 _KIND_SET = frozenset(EVENT_KINDS)
 
 #: Chrome trace_event process id used for fleet-level events (arrival,
-#: admission, placement, windows) that belong to no single device.
+#: admission, placement) that belong to no single device.
 #: Device ``d`` maps to pid ``d + 1``.
 FLEET_PID = 0
 
@@ -109,10 +104,9 @@ class Tracer:
         """Record one event.  ``data`` must be JSON-serializable."""
 
     def __deepcopy__(self, memo: Dict[int, Any]) -> "Tracer":
-        # Policies are deep-copied for speculative prediction and for
-        # run-ahead window snapshots; a tracer riding along must stay
-        # shared by identity, never duplicated (a copy would fork the
-        # event list and double-emit on restore).
+        # Policies are deep-copied for speculative prediction; a tracer
+        # riding along must stay shared by identity, never duplicated
+        # (a copy would fork the event list).
         return self
 
 

@@ -122,8 +122,7 @@ def run_stream(arrivals: Sequence[Arrival], policy: OnlinePolicy,
 
     `speculation` (a :class:`~repro.runtime.speculation
     .SpeculativeSimulator`) pre-simulates the policy's likely next
-    groups and, when its strategy allows run-ahead, lets the device run
-    ahead of the clock between arrivals; `telemetry` (a
+    groups; `telemetry` (a
     :class:`~repro.obs.Telemetry`) observes the run.  Neither changes
     the returned timeline.
     """

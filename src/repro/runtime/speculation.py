@@ -1,29 +1,20 @@
-"""Speculative execution: pre-simulated groups + out-of-order devices.
+"""Speculative execution: pre-simulated groups.
 
 The fleet event loop (streams are one-device fleets) is deterministic
 but *clock-serial*: the virtual clock blocks on every in-flight group,
 so a process pool only helps when several launches share one instant.
-Two observations unlock far more parallelism without changing a single
-result:
+One observation unlocks more parallelism without changing a single
+result: **group results are pure.**  ``run_group`` simulates a fresh
+device per group, so an outcome depends only on (membership,
+partitions, SMRA flag, device config, SMRA params, cycle budget) —
+exactly the tuple :func:`group_key` freezes.  A group may therefore be
+simulated *before* the policy commits to launching it: if the
+prediction matches, the stored result is bit-identical to simulating on
+demand; if not, the result is discarded unobserved.
 
-1. **Group results are pure.**  ``run_group`` simulates a fresh device
-   per group, so an outcome depends only on (membership, partitions,
-   SMRA flag, device config, SMRA params, cycle budget) — exactly the
-   tuple :func:`group_key` freezes.  A group may therefore be simulated
-   *before* the policy commits to launching it: if the prediction
-   matches, the stored result is bit-identical to simulating on demand;
-   if not, the result is discarded unobserved.
-2. **Devices interact only at placement points.**  Between two fleet
-   events that can route work across devices (an arrival, a fault
-   event, an admission re-offer, a requeue), every device's timeline
-   depends only on its own state.  Devices may run ahead of the global
-   clock up to that *safe horizon* — Time-Warp style optimistic
-   execution, with rollback when a straggler (a transiently failed
-   attempt whose requeue re-places work) invalidates the horizon.
-
-:class:`SpeculativeSimulator` implements the store + counters shared by
-both mechanisms; the run-ahead window itself lives in
-:func:`repro.cluster.fleet.run_fleet` (it needs the loop's bookkeeping).
+:class:`SpeculativeSimulator` implements the store + counters;
+:func:`repro.cluster.fleet.run_fleet` calls its ``predict`` before
+every launch and its ``fetch_batch`` to resolve the launch.
 
 The speculation contract
 ------------------------
@@ -105,15 +96,9 @@ def outcome_fingerprint(outcome: GroupOutcome) -> Tuple:
 
 @dataclass(frozen=True)
 class SpeculationStrategy:
-    """What the simulator is allowed to do (a ``speculation`` registry
-    entry: ``groups``, ``devices`` or ``full``; ``none`` builds no
-    strategy at all)."""
+    """Prediction depth and commit checking (what the ``groups``
+    registry entry builds; ``none`` builds no strategy at all)."""
 
-    kind: str
-    #: predict + pre-simulate likely next groups.
-    groups: bool = False
-    #: run fleet devices ahead of the global clock (Time-Warp windows).
-    run_ahead: bool = False
     #: how many successor groups to predict per launch.
     depth: int = 2
     #: re-simulate every store hit serially and assert bit-identity.
@@ -146,12 +131,6 @@ class SpeculationCounters:
     discarded: int = 0
     #: hits re-verified against a serial in-process rerun.
     commit_checks: int = 0
-    #: run-ahead windows entered.
-    windows: int = 0
-    #: devices whose local timeline was rolled back and replayed.
-    rollbacks: int = 0
-    #: retires + launches committed inside run-ahead windows.
-    ahead_events: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -161,21 +140,6 @@ class SpeculationCounters:
         data = dataclasses.asdict(self)
         data["hit_rate"] = round(self.hit_rate, 4)
         return data
-
-
-class _DoneFuture:
-    """An already-resolved future (rolled-back run-ahead outcomes)."""
-
-    __slots__ = ("_outcome",)
-
-    def __init__(self, outcome: GroupOutcome):
-        self._outcome = outcome
-
-    def result(self) -> GroupOutcome:
-        return self._outcome
-
-    def cancel(self) -> bool:
-        return False
 
 
 class SpeculativeSimulator:
@@ -236,8 +200,6 @@ class SpeculativeSimulator:
         Clone or replay failures just skip prediction — a policy that
         cannot be probed safely simply never speculates.
         """
-        if not self.strategy.groups:
-            return
         store = self._store.setdefault(tag, {})
         self._gen += 1
         gen = self._fresh[tag] = self._gen
@@ -295,7 +257,8 @@ class SpeculativeSimulator:
         ``spec_hit``/``spec_miss`` trace events.
         """
         cycle = 0 if now is None else now
-        futures: List[Any] = [None] * len(jobs)
+        results: List[Optional[GroupOutcome]] = [None] * len(jobs)
+        hits: List[Tuple[int, Any]] = []
         miss_indices: List[int] = []
         miss_jobs = []
         checks: List[Tuple[int, Tuple[int, PlannedGroup, GPUConfig,
@@ -306,7 +269,7 @@ class SpeculativeSimulator:
             entry = store.pop(key, None)
             members = [name for name, _spec in group.members]
             if entry is not None:
-                futures[idx] = entry[0]
+                hits.append((idx, entry[0]))
                 self.counters.hits += 1
                 if self._tracer is not None:
                     self._tracer.emit("spec_hit", cycle, device=tag,
@@ -330,29 +293,15 @@ class SpeculativeSimulator:
                 outcomes = self.executor.run_device_groups(
                     miss_jobs, max_cycles, backend=self.backend)
             for idx, outcome in zip(miss_indices, outcomes):
-                futures[idx] = _DoneFuture(outcome)
-        results = [fut.result() for fut in futures]
+                results[idx] = outcome
+        for idx, future in hits:
+            results[idx] = future.result()
         if checks:
             with phase_of(self._profiler, "commit-check"):
                 for idx, (_tag, group, config, smra_params) in checks:
                     self._commit_check(group, config, smra_params,
                                        max_cycles, results[idx])
         return results
-
-    def stash(self, tag: int, group: PlannedGroup, config: GPUConfig,
-              smra_params: SMRAParams, max_cycles: int,
-              outcome: GroupOutcome) -> None:
-        """Keep a rolled-back run-ahead outcome for its likely re-launch.
-
-        The rollback voided the *launch decision*, not the simulation:
-        if the device re-pops the same group after replay (the common
-        case — only the straggler's requeue changed the world), the
-        redo is a store hit instead of a second simulation.
-        """
-        store = self._store.setdefault(tag, {})
-        key = group_key(group, config, smra_params, max_cycles)
-        store.setdefault(key, (_DoneFuture(outcome),
-                               self._fresh.get(tag, 0)))
 
     def _discard_stale(self, tag: int) -> None:
         """Drop `tag` entries predicted before its current round."""
@@ -419,17 +368,8 @@ def make_speculation(strategy: Optional[SpeculationStrategy],
 REGISTRY.register("speculation", "none", lambda **_params: None)
 
 
-def _strategy_factory(kind: str, groups: bool, run_ahead: bool):
-    def factory(depth: int = 2, commit_check: bool = False, **_params):
-        return SpeculationStrategy(kind=kind, groups=groups,
-                                   run_ahead=run_ahead, depth=depth,
-                                   commit_check=commit_check)
-    return factory
+def _make_groups(depth: int = 2, commit_check: bool = False, **_params):
+    return SpeculationStrategy(depth=depth, commit_check=commit_check)
 
 
-REGISTRY.register("speculation", "groups",
-                  _strategy_factory("groups", True, False))
-REGISTRY.register("speculation", "devices",
-                  _strategy_factory("devices", False, True))
-REGISTRY.register("speculation", "full",
-                  _strategy_factory("full", True, True))
+REGISTRY.register("speculation", "groups", _make_groups)

@@ -19,7 +19,8 @@ SCENARIO_DIR = (pathlib.Path(__file__).resolve().parents[2]
                 / "examples" / "scenarios")
 
 # The three fleet examples: homogeneous, heterogeneous (per-device
-# configs), and faults + admission (rollback × requeue under run-ahead).
+# configs), and faults + admission (transient requeues under group
+# speculation).
 FLEET_EXAMPLES = ["fleet_small.json", "fleet_hetero.json",
                   "fleet_faults.json"]
 
@@ -45,14 +46,14 @@ class TestSpeculationSpecSchema:
         assert json.dumps(given.to_dict()) == json.dumps(absent.to_dict())
 
     def test_full_spec_round_trips_losslessly(self):
-        spec = SpeculationSpec(kind="full", depth=3, commit_check=True)
+        spec = SpeculationSpec(kind="groups", depth=3, commit_check=True)
         execution = ExecutionSpec(speculation=spec)
         decoded = ExecutionSpec.from_dict(execution.to_dict())
         assert decoded == execution
         assert decoded.speculation == spec
 
     def test_unknown_kind_rejected_with_choices(self):
-        with pytest.raises(ValueError, match="full"):
+        with pytest.raises(ValueError, match="groups"):
             SpeculationSpec(kind="warp-drive")
 
     def test_bad_depth_rejected(self):
@@ -67,25 +68,25 @@ class TestSpeculationSpecSchema:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            SpeculationSpec.from_dict({"kind": "full", "dept": 3})
+            SpeculationSpec.from_dict({"kind": "groups", "dept": 3})
 
     def test_queue_scenarios_reject_speculation(self):
         scenario = Scenario.from_json(
             (SCENARIO_DIR / "queue_paper.json").read_text())
         with pytest.raises(ValueError, match="queue"):
-            with_speculation(scenario, kind="full")
+            with_speculation(scenario, kind="groups")
 
     def test_spec_hash_ignores_speculation(self):
         scenario = Scenario.from_json(
             (SCENARIO_DIR / "fleet_small.json").read_text())
-        assert with_speculation(scenario, workers=4, kind="full",
+        assert with_speculation(scenario, workers=4, kind="groups",
                                 commit_check=True).spec_hash() \
             == scenario.spec_hash()
 
 
 class TestResultByteIdentity:
     """The acceptance gate: every committed fleet example produces
-    byte-identical canonical result JSON with speculation ``full`` —
+    byte-identical canonical result JSON with speculation ``groups`` —
     commit-checked — at workers 1 and 4, equal to speculation off."""
 
     @pytest.mark.parametrize("name", FLEET_EXAMPLES)
@@ -94,19 +95,59 @@ class TestResultByteIdentity:
         baseline = run_scenario(with_speculation(scenario)).to_json()
         for workers in (1, 4):
             run = with_speculation(scenario, workers=workers,
-                                   kind="full", commit_check=True)
+                                   kind="groups", commit_check=True)
             result = run_scenario(run)
             assert result.to_json() == baseline, (name, workers)
             # Counters ride next to the result, never inside it.
             assert "speculation" not in json.loads(result.to_json())
             assert result.speculation is not None
-            assert result.speculation["windows"] > 0
+            assert result.speculation["hits"] \
+                + result.speculation["misses"] > 0
 
     def test_counters_deterministic_across_workers(self):
         scenario = Scenario.from_json(
             (SCENARIO_DIR / "fleet_faults.json").read_text())
         counters = [
-            run_scenario(with_speculation(scenario, workers=w, kind="full",
+            run_scenario(with_speculation(scenario, workers=w, kind="groups",
                                           commit_check=True)).speculation
             for w in (1, 4)]
         assert counters[0] == counters[1]
+
+
+class TestLegacyKinds:
+    """The retired run-ahead kinds still load: ``full`` runs as
+    ``groups``, ``devices`` as no speculation, each with one
+    ``DeprecationWarning`` and an unchanged ``spec_hash``."""
+
+    def scenario_with(self, kind):
+        data = json.loads((SCENARIO_DIR / "fleet_small.json").read_text())
+        data["execution"] = {"speculation": {"kind": kind}}
+        with pytest.warns(DeprecationWarning) as caught:
+            scenario = Scenario.from_dict(data)
+        assert len(caught) == 1
+        return scenario
+
+    def test_full_warns_once_and_equals_groups(self):
+        with pytest.warns(DeprecationWarning, match="'full'") as caught:
+            spec = SpeculationSpec(kind="full")
+        assert len(caught) == 1
+        assert spec == SpeculationSpec(kind="groups")
+
+    def test_devices_serializes_like_no_speculation(self):
+        scenario = self.scenario_with("devices")
+        plain = Scenario.from_json(
+            (SCENARIO_DIR / "fleet_small.json").read_text())
+        assert scenario.execution.speculation is None
+        assert scenario.to_json() == plain.to_json()
+        assert scenario.spec_hash() == plain.spec_hash()
+
+    def test_full_keeps_spec_hash_and_result_bytes(self):
+        scenario = self.scenario_with("full")
+        plain = Scenario.from_json(
+            (SCENARIO_DIR / "fleet_small.json").read_text())
+        assert scenario.execution.speculation == SpeculationSpec(
+            kind="groups")
+        assert scenario.spec_hash() == plain.spec_hash()
+        result = run_scenario(scenario)
+        assert result.to_json() == run_scenario(plain).to_json()
+        assert result.speculation is not None

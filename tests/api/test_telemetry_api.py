@@ -5,7 +5,7 @@ The two contracts this file pins:
 * **Identity** — telemetry is observation, never computation: a
   scenario's ``spec_hash`` and its canonical result JSON are
   byte-identical with telemetry off vs any kind, at workers 1 and 4,
-  for every committed fleet example (and with speculation ``full``
+  for every committed fleet example (and with speculation ``groups``
   layered on top).
 * **Determinism of the observations themselves** — the trace event
   stream and the metrics registry snapshot are worker-count-invariant:
@@ -136,9 +136,9 @@ class TestObservationDeterminism:
         assert snapshots[0][0] == snapshots[1][0], name
         assert snapshots[0][1] == snapshots[1][1], name
 
-    def test_trace_equal_w1_w4_with_speculation_full(self):
+    def test_trace_equal_w1_w4_with_speculation_groups(self):
         scenario = load("fleet_faults.json")
-        spec = SpeculationSpec(kind="full", commit_check=True)
+        spec = SpeculationSpec(kind="groups", commit_check=True)
         plain = run_scenario(with_workers(scenario, 1)).to_json()
         traces = []
         for workers in (1, 4):

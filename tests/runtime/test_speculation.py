@@ -29,9 +29,8 @@ def ctx(small_cfg):
     return make_context(small_cfg)
 
 
-def full_strategy(**overrides):
-    params = dict(kind="full", groups=True, run_ahead=True,
-                  commit_check=True)
+def checked_strategy(**overrides):
+    params = dict(commit_check=True)
     params.update(overrides)
     return SpeculationStrategy(**params)
 
@@ -72,14 +71,13 @@ class TestGroupKey:
 class TestStrategyValidation:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError, match="depth"):
-            SpeculationStrategy(kind="groups", groups=True, depth=0)
+            SpeculationStrategy(depth=0)
         with pytest.raises(ValueError, match="depth"):
-            SpeculationStrategy(kind="groups", groups=True, depth=True)
+            SpeculationStrategy(depth=True)
 
     def test_rejects_bad_commit_check(self):
         with pytest.raises(ValueError, match="commit_check"):
-            SpeculationStrategy(kind="groups", groups=True,
-                                commit_check=1)
+            SpeculationStrategy(commit_check=1)
 
     def test_make_speculation_none_builds_nothing(self):
         assert make_speculation(None, SerialExecutor()) is None
@@ -87,7 +85,7 @@ class TestStrategyValidation:
 
 class TestStoreProtocol:
     def test_hit_pops_and_counts(self, ctx):
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
+        sim = SpeculativeSimulator(SerialExecutor(), checked_strategy())
         group = PlannedGroup(members=list(specs(2).items()))
         policy = OnlineFCFS(2)
         policy.waiting = list(group.members)
@@ -106,7 +104,7 @@ class TestStoreProtocol:
     def test_miss_discards_stale_chain_but_not_fresh(self, ctx):
         suite = list(specs(6).items())
         sim = SpeculativeSimulator(SerialExecutor(),
-                                   full_strategy(depth=2))
+                                   checked_strategy(depth=2))
         stale = OnlineFCFS(2)
         stale.waiting = suite[:2]
         sim.predict(0, stale, 0, ctx, 100000)
@@ -130,7 +128,7 @@ class TestStoreProtocol:
         assert list(outcome.members) == [n for n, _s in suite[2:4]]
 
     def test_close_discards_everything(self, ctx):
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
+        sim = SpeculativeSimulator(SerialExecutor(), checked_strategy())
         policy = OnlineFCFS(2)
         policy.waiting = list(specs(4).items())
         sim.predict(0, policy, 0, ctx, 100000)
@@ -141,26 +139,29 @@ class TestStoreProtocol:
 
     def test_commit_check_catches_poisoned_store(self, ctx):
         suite = list(specs(4).items())
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
         right = PlannedGroup(members=suite[:2])
         wrong = PlannedGroup(members=suite[2:])
         poison = run_group(wrong, ctx.config, ctx.smra_params, 100000)
-        # Stash a *different* group's outcome under `right`'s key.
-        sim.stash(0, right, ctx.config, ctx.smra_params, 100000, poison)
+        sim = SpeculativeSimulator(_PoisonedExecutor(poison),
+                                   checked_strategy())
+        policy = OnlineFCFS(2)
+        policy.waiting = list(right.members)
+        # The prediction for `right` is stored with `wrong`'s outcome.
+        sim.predict(0, policy, 0, ctx, 100000)
         with pytest.raises(RuntimeError, match="commit check"):
             sim.fetch_batch(
                 [(0, right, ctx.config, ctx.smra_params)], 100000)
 
-    def test_stash_serves_a_relaunch(self, ctx):
-        suite = list(specs(2).items())
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
-        group = PlannedGroup(members=suite)
-        outcome = run_group(group, ctx.config, ctx.smra_params, 100000)
-        sim.stash(0, group, ctx.config, ctx.smra_params, 100000, outcome)
-        served = sim.fetch_batch(
-            [(0, group, ctx.config, ctx.smra_params)], 100000)[0]
-        assert outcome_fingerprint(served) == outcome_fingerprint(outcome)
-        assert sim.counters.hits == 1
+
+class _PoisonedExecutor(SerialExecutor):
+    """Resolves every speculative submission to one fixed outcome."""
+
+    def __init__(self, poison):
+        super().__init__()
+        self.poison = poison
+
+    def submit_group(self, *_args, **_kwargs):
+        return self.submit_job(lambda: self.poison)
 
 
 class _CloneRaises(OnlineFCFS):
@@ -188,7 +189,7 @@ class TestStreamSpeculation:
     def test_stream_results_identical_with_hits(self, ctx):
         arrivals = self.arrivals(8)
         plain = run_stream(arrivals, OnlineFCFS(2), ctx)
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
+        sim = SpeculativeSimulator(SerialExecutor(), checked_strategy())
         spec = run_stream(arrivals, OnlineFCFS(2), ctx, speculation=sim)
         assert spec.makespan == plain.makespan
         assert ([g.outcome.members for g in spec.groups]
@@ -203,7 +204,7 @@ class TestStreamSpeculation:
     def test_misprediction_never_leaks_into_results(self, ctx):
         arrivals = self.arrivals(8)
         plain = run_stream(arrivals, OnlineFCFS(2), ctx)
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
+        sim = SpeculativeSimulator(SerialExecutor(), checked_strategy())
         spec = run_stream(arrivals, _CloneLies(2), ctx, speculation=sim)
         assert sim.counters.hits == 0
         assert sim.counters.misses == len(plain.groups)
@@ -217,7 +218,7 @@ class TestStreamSpeculation:
     def test_unclonable_policy_disables_prediction(self, ctx):
         arrivals = self.arrivals(6)
         plain = run_stream(arrivals, OnlineFCFS(2), ctx)
-        sim = SpeculativeSimulator(SerialExecutor(), full_strategy())
+        sim = SpeculativeSimulator(SerialExecutor(), checked_strategy())
         spec = run_stream(arrivals, _CloneRaises(2), ctx, speculation=sim)
         assert sim.counters.submitted == 0
         assert spec.makespan == plain.makespan
@@ -225,11 +226,11 @@ class TestStreamSpeculation:
     def test_counters_identical_across_worker_counts(self, ctx):
         arrivals = self.arrivals(8)
         serial_sim = SpeculativeSimulator(SerialExecutor(),
-                                          full_strategy())
+                                          checked_strategy())
         serial = run_stream(arrivals, OnlineFCFS(2), ctx,
                             speculation=serial_sim)
         with ParallelExecutor(2) as pool:
-            pool_sim = SpeculativeSimulator(pool, full_strategy())
+            pool_sim = SpeculativeSimulator(pool, checked_strategy())
             parallel = run_stream(arrivals, OnlineFCFS(2), ctx,
                                   speculation=pool_sim)
         assert serial_sim.counters.to_dict() == pool_sim.counters.to_dict()

@@ -5,13 +5,16 @@ Drives :func:`validate_events` directly with hand-built event streams
 front door over both export formats.
 """
 
+import dataclasses
 import importlib.util
 import pathlib
 
-from repro.obs import RecordingTracer, write_trace
+from repro.api import Scenario, SpeculationSpec, run_scenario
+from repro.obs import RecordingTracer, TraceEvent, make_telemetry, write_trace
 
-TOOL = (pathlib.Path(__file__).resolve().parents[1]
-        / "tools" / "validate_trace.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "validate_trace.py"
+SCENARIO_DIR = ROOT / "examples" / "scenarios"
 
 spec = importlib.util.spec_from_file_location("validate_trace", TOOL)
 lint = importlib.util.module_from_spec(spec)
@@ -59,28 +62,32 @@ class TestValidEventStreams:
         )
         assert lint.validate_events(stream) == []
 
-    def test_speculation_kinds_exempt_from_monotonicity(self):
-        # predict/spec_hit record when work was *performed*; under
-        # run-ahead they legitimately interleave with later-committed
-        # timeline events at earlier cycles.
+    def test_speculation_kinds_on_the_device_timeline(self):
         stream = events(
-            ("predict", 900, dict(device=0, submitted=2)),
+            ("predict", 100, dict(device=0, submitted=2)),
+            ("spec_miss", 100, dict(device=0, members=["NN"])),
             launch(100, 0, ["NN"]),
-            ("spec_hit", 950, dict(device=0, members=["NN"])),
             finish(200, 0, ["NN"]),
+            ("spec_hit", 200, dict(device=0, members=["BFS2"])),
+            launch(200, 0, ["BFS2"]),
+            finish(300, 0, ["BFS2"]),
         )
         assert lint.validate_events(stream) == []
 
-    def test_window_open_rollback_commit(self):
-        stream = events(
-            ("window_open", 100, dict(horizon=500, devices=[0, 1])),
-            launch(120, 0, ["NN"]),
-            finish(220, 0, ["NN"]),
-            ("window_rollback", 220, dict(device=1, barrier=600,
-                                          discarded=2)),
-            ("window_commit", 220, dict(committed=2)),
-        )
-        assert lint.validate_events(stream) == []
+    def test_traced_groups_run_of_fleet_faults(self):
+        scenario = Scenario.from_json(
+            (SCENARIO_DIR / "fleet_faults.json").read_text())
+        scenario = dataclasses.replace(
+            scenario, execution=dataclasses.replace(
+                scenario.execution,
+                speculation=SpeculationSpec(kind="groups",
+                                            commit_check=True)))
+        telemetry = make_telemetry("trace")
+        result = run_scenario(scenario, telemetry=telemetry)
+        assert result.speculation["hits"] > 0
+        kinds = {ev.kind for ev in telemetry.events}
+        assert {"predict", "spec_hit", "spec_miss"} <= kinds
+        assert lint.validate_events(telemetry.events) == []
 
 
 class TestInvalidEventStreams:
@@ -118,29 +125,22 @@ class TestInvalidEventStreams:
         assert any("end of trace" in e and "in flight" in e
                    for e in errors)
 
-    def test_unbalanced_window_open(self):
-        errors = lint.validate_events(
-            events(("window_open", 0, dict(horizon=100))))
-        assert any("never committed" in e for e in errors)
-
-    def test_commit_without_open(self):
-        errors = lint.validate_events(
-            events(("window_commit", 0, dict(committed=0))))
-        assert any("without a matching window_open" in e for e in errors)
-
-    def test_rollback_outside_window(self):
-        errors = lint.validate_events(
-            events(("window_rollback", 0, dict(device=0, discarded=1))))
-        assert any("outside an open window" in e for e in errors)
-
-    def test_nested_windows_rejected(self):
+    def test_backwards_spec_hit(self):
         stream = events(
-            ("window_open", 0, dict()),
-            ("window_open", 10, dict()),
-            ("window_commit", 20, dict()),
+            launch(500, 0, ["NN"]),
+            finish(600, 0, ["NN"]),
+            ("spec_hit", 550, dict(device=0, members=["BFS2"])),
         )
         errors = lint.validate_events(stream)
-        assert any("never nest" in e for e in errors)
+        assert any("spec_hit @ 550" in e and "went backwards" in e
+                   for e in errors)
+
+    def test_retired_window_kinds_are_unknown(self):
+        stream = [TraceEvent(kind, 0) for kind in
+                  ("window_open", "window_rollback", "window_commit")]
+        errors = lint.validate_events(stream)
+        assert len(errors) == 3
+        assert all("unknown event kind" in e for e in errors)
 
 
 class TestFileFrontDoor:

@@ -10,15 +10,11 @@ checks the invariants the engines guarantee by construction:
 1. **Known, well-formed events** — every event kind is in the closed
    taxonomy and every cycle stamp is a non-negative integer.
 2. **Monotonic per-device timelines** — for *timeline* kinds (launch,
-   group_finish, group_failed, fault, recover) the cycle stamps of each
-   device track never decrease.  Speculation-activity kinds (predict,
-   spec_hit, spec_miss) are exempt: they record when work was
-   *performed*, which under run-ahead legitimately interleaves with
-   later-committed timeline events.
-3. **Balanced run-ahead windows** — ``window_open`` / ``window_commit``
-   pairs nest nowhere, ``window_rollback`` appears only between an open
-   and its commit, and no window is left open at end of trace.
-4. **Launch/retire pairing** — per device track, a ``launch`` while a
+   group_finish, group_failed, fault, recover, and the speculation
+   kinds predict, spec_hit, spec_miss, which the fleet loop stamps on
+   its one global clock) the cycle stamps of each device track never
+   decrease.
+3. **Launch/retire pairing** — per device track, a ``launch`` while a
    group is still in flight is an error; ``group_finish`` /
    ``group_failed`` / ``fault`` close the in-flight group (with
    matching members for finish/failed); nothing is left in flight at
@@ -46,10 +42,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 
 from repro.obs import EVENT_KINDS, TraceEvent, load_events  # noqa: E402
 
-#: Kinds whose cycle stamps form the committed per-device timeline and
+#: Kinds whose cycle stamps form a per-device timeline and
 #: must therefore never decrease within one device track.
 TIMELINE_KINDS = ("launch", "group_finish", "group_failed", "fault",
-                  "recover")
+                  "recover", "predict", "spec_hit", "spec_miss")
 
 #: Kinds that close an in-flight launch on their device track.
 _CLOSERS = ("group_finish", "group_failed", "fault")
@@ -67,7 +63,6 @@ def validate_events(events: Sequence[TraceEvent]) -> List[str]:
     timeline = frozenset(TIMELINE_KINDS)
     last_cycle = {}          # track -> last timeline cycle seen
     inflight = {}            # track -> (index, members) of open launch
-    window_open_at: Optional[int] = None
 
     for index, ev in enumerate(events):
         where = f"event {index} ({ev.kind} @ {ev.cycle})"
@@ -113,25 +108,6 @@ def validate_events(events: Sequence[TraceEvent]) -> List[str]:
                         f"but launched {open_entry[1]} "
                         f"(event {open_entry[0]})")
 
-        if ev.kind == "window_open":
-            if window_open_at is not None:
-                errors.append(f"{where}: window opened while the window "
-                              f"from event {window_open_at} is still "
-                              f"open (windows never nest)")
-            window_open_at = index
-        elif ev.kind == "window_commit":
-            if window_open_at is None:
-                errors.append(f"{where}: window commit without a "
-                              f"matching window_open")
-            window_open_at = None
-        elif ev.kind == "window_rollback":
-            if window_open_at is None:
-                errors.append(f"{where}: window rollback outside an "
-                              f"open window")
-
-    if window_open_at is not None:
-        errors.append(f"end of trace: window from event "
-                      f"{window_open_at} was never committed")
     for track, (open_idx, members) in sorted(inflight.items()):
         errors.append(f"end of trace: {track} still has the group from "
                       f"event {open_idx} ({', '.join(members)}) in "
