@@ -2,7 +2,7 @@
 """Fleet bench: placement-policy comparison + parallel fleet drain.
 
 Drains one Poisson arrival stream across a fleet of simulated devices
-and writes ``BENCH_fleet.json`` at the repo root with two scenarios:
+and writes ``BENCH_fleet.json`` at the repo root with four scenarios:
 
 * ``placement_comparison`` — the same stream under round-robin,
   least-loaded, and interference-aware placement: fleet ANTT/STP,
@@ -17,10 +17,6 @@ and writes ``BENCH_fleet.json`` at the repo root with two scenarios:
   queue-cap admission: the fault-bookkeeping overhead of the event
   loop, reported as the same ``events_per_sec`` figure so the
   regression gate tracks it next to the healthy drains.
-* ``speculative_drain`` — a busy (backlogged) stream on one device and
-  the 4-device fleet drain, each with speculation ``groups`` vs off:
-  events/s, speedup, and the speculation hit rate, asserting the
-  speculative results are identical to the plain path.
 * ``telemetry_overhead`` — the least-loaded drain with telemetry off
   vs ``full`` (tracing + metrics + profiling): events/s both ways, the
   per-phase wall-clock breakdown from the profiling hooks, and the
@@ -32,9 +28,7 @@ and writes ``BENCH_fleet.json`` at the repo root with two scenarios:
 
 The speedup tracks how often devices launch simultaneously (bursts, and
 the stream head where the whole fleet fills at once); ``cores`` is
-recorded so a 1-core container's ≤1× is not mistaken for a regression —
-``speculative_drain`` embeds it too, making the single-core note
-machine-checkable next to its own speedups.
+recorded so a 1-core container's ≤1× is not mistaken for a regression.
 
 Usage::
 
@@ -179,96 +173,9 @@ def run_bench(devices: int, workers: int, quick: bool) -> dict:
         "placement_comparison": comparison,
         "parallel_drain": parallel_drain,
         "fault_drain": fault_drain,
-        "speculative_drain": _speculative_drain(
-            arrivals, ctx, devices, workers, serial_s, serial_out),
         "telemetry_overhead": _telemetry_overhead(arrivals, ctx, devices),
         "apps": apps,
         "scale": scale,
-    }
-
-
-def _stream_events(outcome) -> int:
-    return sum(g.outcome.result.events for g in outcome.groups)
-
-
-def _stream_fingerprint(outcome):
-    return {
-        "makespan": outcome.makespan,
-        "busy": outcome.busy_cycles,
-        "groups": [(g.start_cycle, tuple(g.outcome.members),
-                    g.outcome.cycles) for g in outcome.groups],
-    }
-
-
-def _speculative_drain(arrivals, ctx, devices, workers,
-                       fleet_serial_s, fleet_serial_out) -> dict:
-    """Speculation ``groups`` vs off: a busy 1-device stream + the fleet.
-
-    The stream side keeps one device backlogged (every app arrives at
-    cycle 0), so predicted next groups pre-simulate on idle workers
-    while the clock blocks on the in-flight one; the fleet side
-    predicts per device.  Both assert the speculative result is
-    identical to the plain path — the speedup is only a speedup.
-    """
-    from repro.api.registry import REGISTRY
-    from repro.cluster import placement_policy, run_fleet
-    from repro.runtime import (OnlineFCFS, ParallelExecutor, SerialExecutor,
-                               make_speculation, run_stream)
-    from repro.runtime.engine import Arrival
-
-    cores = os.cpu_count() or 1
-    strategy = REGISTRY.create("speculation", "groups")
-
-    # -- busy 1-stream: all arrivals at cycle 0, one device ----------------
-    busy = [Arrival(cycle=0, name=a.name, spec=a.spec) for a in arrivals]
-    stream_plain_s, stream_plain = _timed(
-        lambda: run_stream(busy, OnlineFCFS(2), ctx))
-    with ParallelExecutor(workers) as pool:
-        speculation = make_speculation(strategy, pool)
-        stream_spec_s, stream_spec = _timed(
-            lambda: run_stream(busy, OnlineFCFS(2), ctx,
-                               speculation=speculation))
-    stream_counters = speculation.counters
-    stream_identical = (_stream_fingerprint(stream_plain)
-                        == _stream_fingerprint(stream_spec))
-
-    # -- fleet drain: per-device prediction ---------------------------------
-    with ParallelExecutor(workers) as pool:
-        speculation = make_speculation(strategy, pool)
-        fleet_spec_s, fleet_spec_out = _timed(lambda: run_fleet(
-            arrivals, placement_policy("least-loaded"),
-            lambda _i: OnlineFCFS(2), ctx, num_devices=devices,
-            executor=pool, speculation=speculation))
-    fleet_counters = speculation.counters
-    fleet_identical = (_fleet_fingerprint(fleet_serial_out)
-                       == _fleet_fingerprint(fleet_spec_out))
-
-    return {
-        #: embedded so the single-core "speedup <= 1 is expected" note
-        #: is machine-checkable against this scenario alone.
-        "cores": cores,
-        "stream": {
-            "plain_s": round(stream_plain_s, 3),
-            "speculative_s": round(stream_spec_s, 3),
-            "speedup": round(stream_plain_s / stream_spec_s, 3),
-            "events_per_sec": round(
-                _stream_events(stream_spec) / stream_spec_s, 1),
-            "hit_rate": round(stream_counters.hit_rate, 4),
-            "hits": stream_counters.hits,
-            "misses": stream_counters.misses,
-            "identical": stream_identical,
-        },
-        "fleet": {
-            "plain_s": round(fleet_serial_s, 3),
-            "speculative_s": round(fleet_spec_s, 3),
-            "speedup": round(fleet_serial_s / fleet_spec_s, 3),
-            "events_per_sec": round(
-                _fleet_events(fleet_spec_out) / fleet_spec_s, 1),
-            "hit_rate": round(fleet_counters.hit_rate, 4),
-            "hits": fleet_counters.hits,
-            "misses": fleet_counters.misses,
-            "identical": fleet_identical,
-        },
     }
 
 
@@ -330,12 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise RuntimeError(
             "parallel_drain: parallel fleet results differ from serial — "
             "run_fleet must be deterministic in the worker count")
-    for side in ("stream", "fleet"):
-        if not scenarios["speculative_drain"][side]["identical"]:
-            raise RuntimeError(
-                f"speculative_drain: the {side} result with speculation "
-                f"differs from the plain path — speculation must never "
-                f"change results")
     if not scenarios["telemetry_overhead"]["identical"]:
         raise RuntimeError(
             "telemetry_overhead: the traced fleet results differ from "

@@ -24,8 +24,7 @@ from .registry import BUILTIN_KINDS, REGISTRY, Registry, RegistryError
 from .runner import RunResult, build_arrivals, build_queue, run_scenario
 from .scenario import (KINDS, SCHEMA_VERSION, SOURCES, AdmissionSpec,
                        DeviceSpec, ExecutionSpec, FaultSpec, PlacementSpec,
-                       PolicySpec, Scenario, SpeculationSpec, TelemetrySpec,
-                       WorkloadSpec)
+                       PolicySpec, Scenario, TelemetrySpec, WorkloadSpec)
 from .sweep import expand_grid, load_sweep, point_filename
 
 #: Campaign-layer specs re-exported through the Scenario API.  Lazy
@@ -47,7 +46,7 @@ __all__ = [
     "REGISTRY", "Registry", "RegistryError", "BUILTIN_KINDS",
     "Scenario", "WorkloadSpec", "PolicySpec", "PlacementSpec",
     "DeviceSpec", "ExecutionSpec", "FaultSpec", "AdmissionSpec",
-    "SpeculationSpec", "TelemetrySpec", "KINDS", "SOURCES",
+    "TelemetrySpec", "KINDS", "SOURCES",
     "SCHEMA_VERSION",
     "RunResult", "run_scenario", "build_queue", "build_arrivals",
     "expand_grid", "load_sweep", "point_filename",

@@ -4,7 +4,7 @@ An engine backend is the thing that actually simulates one device: a
 class constructed as ``cls(config)`` whose instances expose
 ``launch(apps, partitions)`` and ``run(max_cycles, callbacks)``
 returning a ``DeviceResult``.  Every layer above the engine — streams,
-fleets, speculation, campaign shards — is backend-agnostic;
+fleets, campaign shards — is backend-agnostic;
 the backend is selected by name through :data:`~repro.api.registry.REGISTRY`
 from ``ExecutionSpec.backend``.
 

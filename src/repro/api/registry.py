@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional
 _BUILTIN_MODULES = (
     "repro.core.policies",      # kind "policies"
     "repro.runtime.online",     # kind "online-policies"
-    "repro.runtime.speculation",  # kind "speculation"
     "repro.cluster.placement",  # kind "placements"
     "repro.cluster.faults",     # kinds "faults", "admission"
     "repro.workloads.rodinia",  # kind "benchmarks"
@@ -52,8 +51,8 @@ _BUILTIN_MODULES = (
 #: order; the registry itself accepts any kind string).
 BUILTIN_KINDS = ("benchmarks", "policies", "online-policies",
                  "placements", "streams", "gpu-configs", "faults",
-                 "admission", "speculation", "telemetry",
-                 "shard-strategies", "engine-backends")
+                 "admission", "telemetry", "shard-strategies",
+                 "engine-backends")
 
 
 class RegistryError(ValueError):

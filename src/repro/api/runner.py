@@ -61,20 +61,12 @@ class RunResult:
     #: engine version, schema version, seed, spec hash.
     provenance: Dict[str, Any]
 
-    #: Speculation counters (hits/misses/discarded…), attached by
-    #: :func:`run_scenario` when the scenario enables speculation.
-    #: Deliberately a ``ClassVar``, not a dataclass field: counters
-    #: describe how the run executed, not what it computed, so they
-    #: stay out of ``to_dict``/``to_json`` — a speculative result file
-    #: is byte-identical to the serial one.
-    speculation: ClassVar[Optional[Dict[str, Any]]] = None
-
     #: Telemetry snapshot (trace event count, metrics registry dump,
     #: profiler phases), attached by :func:`run_scenario` when the
-    #: scenario enables telemetry.  Same ``ClassVar`` side-channel as
-    #: ``speculation``: how the run was observed is not part of what it
-    #: computed, so a traced result file is byte-identical to a plain
-    #: one.
+    #: scenario enables telemetry.  Deliberately a ``ClassVar``, not a
+    #: dataclass field: how the run was observed is not part of what it
+    #: computed, so it stays out of ``to_dict``/``to_json`` and a traced
+    #: result file is byte-identical to a plain one.
     telemetry: ClassVar[Optional[Dict[str, Any]]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -126,23 +118,12 @@ def _provenance(scenario: Scenario) -> Dict[str, Any]:
 
 def _embedded_scenario(scenario: Scenario) -> Dict[str, Any]:
     """The scenario dict stored in results, its execution block reduced
-    by :func:`normalize_execution` — workers, speculation, telemetry and
-    backend are never part of what the run computed.  The backend
+    by :func:`normalize_execution` — workers, telemetry and backend
+    are never part of what the run computed.  The backend
     actually used is recorded in provenance."""
     data = scenario.to_dict()
     normalize_execution(data["execution"])
     return data
-
-
-def _build_speculation(scenario: Scenario, executor):
-    """The scenario's :class:`SpeculativeSimulator`, or ``None``."""
-    from repro.runtime.speculation import make_speculation
-    spec = scenario.execution.speculation
-    if spec is None:
-        return None
-    strategy = REGISTRY.create("speculation", spec.kind, **spec.params())
-    return make_speculation(strategy, executor,
-                            backend=scenario.execution.backend)
 
 
 def _build_telemetry(scenario: Scenario, telemetry=None):
@@ -279,8 +260,7 @@ def run_scenario(scenario: Scenario, executor=None,
     ``execution.telemetry`` block.  Telemetry observes the run and
     never steers it: the returned result is byte-identical with it on
     or off.  The snapshot lands on ``result.telemetry`` (a side
-    channel, like ``result.speculation``) and configured trace sinks
-    are written before returning.
+    channel) and configured trace sinks are written before returning.
     """
     from repro.core import SMRAParams, make_context
     from repro.runtime import make_executor
@@ -316,20 +296,12 @@ def run_scenario(scenario: Scenario, executor=None,
         if scenario.kind == "queue":
             result = _run_queue_scenario(scenario, policy, ctx, executor,
                                          max_cycles, tel)
+        elif scenario.kind == "stream":
+            result = _run_stream_scenario(scenario, policy, ctx, executor,
+                                          max_cycles, tel)
         else:
-            speculation = _build_speculation(scenario, executor)
-            if scenario.kind == "stream":
-                result = _run_stream_scenario(scenario, policy, ctx,
-                                              executor, max_cycles,
-                                              speculation, tel)
-            else:
-                result = _run_fleet_scenario(scenario, placement, ctx,
-                                             executor, max_cycles,
-                                             speculation, tel)
-            if speculation is not None:
-                # Side-channel observability (CLI report/stdout): the
-                # counters never enter to_dict()/to_json().
-                result.speculation = speculation.counters.to_dict()
+            result = _run_fleet_scenario(scenario, placement, ctx,
+                                         executor, max_cycles, tel)
         if tel is not None:
             result.telemetry = tel.snapshot()
             tel.export()
@@ -377,14 +349,13 @@ def _run_queue_scenario(scenario, policy, ctx, executor,
 
 
 def _run_stream_scenario(scenario, policy, ctx, executor,
-                         max_cycles, speculation=None,
-                         telemetry=None) -> RunResult:
+                         max_cycles, telemetry=None) -> RunResult:
     from repro.analysis import summarize_stream
     from repro.runtime import run_stream
     arrivals = build_arrivals(scenario)
     solo = _solo_cycles(ctx, executor, arrivals)
     outcome = run_stream(arrivals, policy, ctx, max_cycles=max_cycles,
-                         speculation=speculation, telemetry=telemetry)
+                         telemetry=telemetry)
     summary = summarize_stream(outcome, solo)
     return RunResult(kind="stream", scenario=_embedded_scenario(scenario),
                      metrics=_summary_dict(summary),
@@ -439,8 +410,7 @@ def _per_device_solo(device_contexts, outcome, executor,
 
 
 def _run_fleet_scenario(scenario, placement, ctx, executor,
-                        max_cycles, speculation=None,
-                        telemetry=None) -> RunResult:
+                        max_cycles, telemetry=None) -> RunResult:
     from repro.analysis import summarize_faults, summarize_fleet
     from repro.cluster import run_fleet
     arrivals = build_arrivals(scenario)
@@ -464,8 +434,7 @@ def _run_fleet_scenario(scenario, placement, ctx, executor,
         lambda _i: _build_policy(scenario), ctx,
         num_devices=scenario.devices.count, executor=executor,
         max_cycles=max_cycles, device_contexts=device_contexts,
-        faults=faults, admission=admission, speculation=speculation,
-        telemetry=telemetry)
+        faults=faults, admission=admission, telemetry=telemetry)
     if device_contexts is not None:
         solo = _per_device_solo(device_contexts, outcome, executor,
                                 arrivals)

@@ -304,71 +304,6 @@ class DeviceSpec:
         return _decode(cls, data, "devices")
 
 
-#: Retired fleet run-ahead kinds → the kind each now runs as.
-#: ``spec_hash`` drops the speculation block, so old scenario files
-#: keep their identity.
-_LEGACY_SPECULATION = {"devices": "none", "full": "groups"}
-
-
-@dataclass(frozen=True)
-class SpeculationSpec:
-    """Speculative-execution strategy for a stream or fleet scenario.
-
-    ``kind`` names a ``speculation`` registry strategy:
-
-    * ``none`` — no speculation; canonicalized away (the spec compares
-      and serializes identically to leaving ``speculation`` out);
-    * ``groups`` — predict + pre-simulate each device's likely next
-      groups while the clock is blocked on an in-flight one.
-
-    The retired run-ahead kinds still load, with one
-    ``DeprecationWarning`` each: ``devices`` becomes ``none`` and
-    ``full`` becomes ``groups`` (see :data:`_LEGACY_SPECULATION`).
-
-    Speculation is an execution strategy, never part of the result's
-    identity: results are bit-identical with any kind (and any worker
-    count), so :meth:`Scenario.spec_hash` normalizes the block away.
-    ``commit_check`` re-simulates every speculative hit serially and
-    raises on any divergence — the paranoid mode of the determinism
-    tests.
-    """
-
-    kind: str = "none"
-    #: successor groups predicted per launch.
-    depth: int = 2
-    #: re-verify every speculative hit against a serial rerun.
-    commit_check: bool = False
-
-    def __post_init__(self):
-        if self.kind in _LEGACY_SPECULATION:
-            kind = _LEGACY_SPECULATION[self.kind]
-            warnings.warn(f"speculation kind {self.kind!r} is deprecated "
-                          f"(fleet run-ahead was removed); running it as "
-                          f"{kind!r}", DeprecationWarning, stacklevel=3)
-            object.__setattr__(self, "kind", kind)
-        _check_registry("speculation", self.kind)
-        _require(isinstance(self.depth, int)
-                 and not isinstance(self.depth, bool) and self.depth >= 1,
-                 f"speculation depth must be a positive integer, got "
-                 f"{self.depth!r}")
-        _require(isinstance(self.commit_check, bool),
-                 f"commit_check must be a boolean, got "
-                 f"{self.commit_check!r}")
-
-    def params(self) -> Dict[str, Any]:
-        """Keyword arguments for the ``speculation`` registry factory."""
-        data = dataclasses.asdict(self)
-        del data["kind"]
-        return data
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpeculationSpec":
-        return _decode(cls, data, "speculation")
-
-
 #: Trace sink formats understood by :class:`TelemetrySpec` (mirrors
 #: ``repro.obs.TRACE_FORMATS`` without importing obs at decode time).
 _TRACE_SINKS = ("jsonl", "chrome")
@@ -395,8 +330,7 @@ class TelemetrySpec:
     written after the run (with two sinks, each writes
     ``{path}.{format}``).  Telemetry observes a run without
     participating in it — results are byte-identical with any kind —
-    so :meth:`Scenario.spec_hash` normalizes the block away exactly
-    like ``speculation``.
+    so :meth:`Scenario.spec_hash` normalizes the block away.
     """
 
     kind: str = "none"
@@ -447,13 +381,10 @@ class ExecutionSpec:
     engines guarantee bit-identical results for any worker count, so
     :meth:`Scenario.spec_hash` normalizes it away.  ``samples_per_pair``
     sizes the Fig. 3.4 interference measurement; ``max_cycles`` is the
-    per-simulation safety budget.  ``speculation`` selects the
-    speculative-execution strategy (see :class:`SpeculationSpec`) — a
-    ``kind="none"`` spec canonicalizes to ``None``, so a
-    speculation-free scenario serializes byte-identically whether the
-    block was given or not.  ``telemetry`` selects the observability
-    bundle (see :class:`TelemetrySpec`) with the same canonicalization
-    — telemetry observes a run without changing its results.
+    per-simulation safety budget.  ``telemetry`` selects the
+    observability bundle (see :class:`TelemetrySpec`) — a
+    ``kind="none"`` spec canonicalizes to ``None``, and telemetry
+    observes a run without changing its results.
     ``backend`` names the ``engine-backends`` registry entry that
     simulates each device — every backend is bit-identical to the
     reference ``"event"`` engine, so like ``workers`` it is
@@ -464,7 +395,6 @@ class ExecutionSpec:
     workers: int = 1
     max_cycles: int = _DEFAULT_MAX_CYCLES
     samples_per_pair: int = 1
-    speculation: Optional[SpeculationSpec] = None
     telemetry: Optional[TelemetrySpec] = None
     backend: str = "event"
 
@@ -481,18 +411,8 @@ class ExecutionSpec:
                  and self.samples_per_pair >= 1,
                  f"samples_per_pair must be a positive integer, got "
                  f"{self.samples_per_pair!r}")
-        if isinstance(self.speculation, Mapping):
-            # from_dict hands the nested block through as a plain dict.
-            object.__setattr__(self, "speculation",
-                               SpeculationSpec.from_dict(self.speculation))
-        _require(self.speculation is None
-                 or isinstance(self.speculation, SpeculationSpec),
-                 f"speculation must be a speculation spec object, got "
-                 f"{self.speculation!r}")
-        if self.speculation is not None and self.speculation.kind == "none":
-            # Canonical form: a no-op spec IS the absent-spec path.
-            object.__setattr__(self, "speculation", None)
         if isinstance(self.telemetry, Mapping):
+            # from_dict hands the nested block through as a plain dict.
             object.__setattr__(self, "telemetry",
                                TelemetrySpec.from_dict(self.telemetry))
         _require(self.telemetry is None
@@ -508,8 +428,6 @@ class ExecutionSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
-        if data["speculation"] is None:
-            del data["speculation"]
         if data["backend"] == "event":
             # Canonical form: the default backend IS the absent key, so
             # pre-backend scenario files round-trip byte-identically.
@@ -522,21 +440,42 @@ class ExecutionSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionSpec":
+        if isinstance(data, Mapping) and "speculation" in data:
+            data = dict(data)
+            _drop_legacy_speculation(data.pop("speculation"))
         return _decode(cls, data, "execution")
+
+
+#: Speculation kinds older scenario files may name.  Speculative
+#: pre-simulation never changed a result and was removed; ``spec_hash``
+#: never included the block, so dropping it keeps every file's identity.
+_LEGACY_SPECULATION_KINDS = ("none", "groups", "devices", "full")
+
+
+def _drop_legacy_speculation(block: Any) -> None:
+    """Accept a retired ``execution.speculation`` block, with a warning."""
+    kind = block.get("kind", "none") if isinstance(block, Mapping) else None
+    _require(kind in _LEGACY_SPECULATION_KINDS,
+             f"execution.speculation was removed; old files may name only "
+             f"the kinds {', '.join(_LEGACY_SPECULATION_KINDS)}, got "
+             f"{kind!r}")
+    warnings.warn(f"execution.speculation (kind {kind!r}) is deprecated "
+                  f"and ignored: speculative pre-simulation was removed",
+                  DeprecationWarning, stacklevel=3)
 
 
 def normalize_execution(execution: Dict[str, Any]) -> None:
     """Reduce an ``ExecutionSpec.to_dict()`` to its identity, in place.
 
-    Workers, speculation, telemetry and backend are resources, not
-    identity: the engines produce bit-identical results for any worker
-    count, speculation strategy, telemetry bundle and engine backend.
-    So ``workers`` is set to 1 and the other three are dropped.  Both
+    Workers, telemetry and backend are resources, not identity: the
+    engines produce bit-identical results for any worker count,
+    telemetry bundle and engine backend.  So ``workers`` is set to 1
+    and the other two are dropped.  Both
     :meth:`Scenario.spec_hash` and ``CampaignSpec.spec_hash`` hash
     through this.
     """
     execution["workers"] = 1
-    for key in ("speculation", "telemetry", "backend"):
+    for key in ("telemetry", "backend"):
         execution.pop(key, None)
 
 
@@ -714,10 +653,6 @@ class Scenario:
             _require(self.workload.source != "trace",
                      "queue scenarios have no arrival timeline; replay "
                      "traces with kind='stream'")
-            _require(self.execution.speculation is None,
-                     "speculation is only valid for stream and fleet "
-                     "scenarios; queue drains already run every group "
-                     "through the executor")
             _require(self.workload.slice is None,
                      "workload slices split an arrival timeline; queue "
                      "scenarios have none (use kind='stream')")
@@ -834,7 +769,7 @@ class Scenario:
 
         The execution block is normalized by :func:`normalize_execution`
         before hashing, so a serial run and a ``--workers 4
-        --speculation groups --backend vector --trace out.jsonl`` run of
+        --backend vector --trace out.jsonl`` run of
         the same scenario share one hash (and their result JSONs compare
         byte-equal).
         """

@@ -21,7 +21,7 @@ Campaign-level counters (shards planned / skipped / run, units, apps)
 land in a :class:`~repro.obs.MetricsRegistry` and wall-clock phase
 timings in a :class:`~repro.obs.PhaseProfiler`; both are written to
 ``campaign_counters.json`` as a **side channel** — exactly like
-``RunResult.speculation`` — so the merged result stays byte-identical
+``RunResult.telemetry`` — so the merged result stays byte-identical
 between fresh, resumed, serial, and pooled invocations.
 """
 

@@ -68,11 +68,9 @@ class CampaignResult:
 
 def _normalized_campaign(plan: CampaignPlan) -> Dict[str, Any]:
     """The campaign spec as embedded in results (base workers
-    normalized to 1, speculation/telemetry dropped — the same rule as
-    ``RunResult``'s embedded scenario)."""
+    normalized to 1, telemetry dropped)."""
     data = plan.spec.to_dict()
     data["base"]["execution"]["workers"] = 1
-    data["base"]["execution"].pop("speculation", None)
     data["base"]["execution"].pop("telemetry", None)
     return data
 

@@ -7,8 +7,8 @@ how committed shards are trusted on restart.  The spec follows every
 Scenario API rule: strict ``__post_init__`` validation, unknown-key
 rejection in ``from_dict``, a lossless JSON round-trip, and a
 :meth:`CampaignSpec.spec_hash` normalized exactly like
-``Scenario.spec_hash`` (the base's worker count and
-speculation/telemetry blocks never change what a campaign computes).
+``Scenario.spec_hash`` (the base's worker count, telemetry block and
+backend never change what a campaign computes).
 """
 
 from __future__ import annotations

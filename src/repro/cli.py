@@ -58,8 +58,8 @@ from repro.analysis import (normalize, render_bars, render_table,
                             summarize_fleet, summarize_stream)
 from repro.api import (REGISTRY, AdmissionSpec, DeviceSpec, ExecutionSpec,
                        FaultSpec, PlacementSpec, PolicySpec, RunResult,
-                       Scenario, SpeculationSpec, WorkloadSpec, load_sweep,
-                       point_filename, run_scenario)
+                       Scenario, WorkloadSpec, load_sweep, point_filename,
+                       run_scenario)
 from repro.campaign import (MANIFEST_SCHEMA_VERSION, CampaignSpec,
                             result_hash, run_campaign)
 from repro.core import (CLASS_ORDER, ClassificationThresholds, classify,
@@ -312,14 +312,6 @@ def _stream_workload(args) -> WorkloadSpec:
                         burst_gap=args.burst_gap)
 
 
-def _speculation_spec(args) -> Optional[SpeculationSpec]:
-    """The ``--speculation`` flag as a spec (``none`` → no spec)."""
-    kind = getattr(args, "speculation", None)
-    if not kind or kind == "none":
-        return None
-    return SpeculationSpec(kind=kind)
-
-
 def _stream_scenario(args, policy_key: str) -> Scenario:
     return Scenario(
         kind="stream",
@@ -327,7 +319,6 @@ def _stream_scenario(args, policy_key: str) -> Scenario:
         policy=PolicySpec(name=policy_key, nc=args.nc),
         execution=ExecutionSpec(workers=args.workers,
                                 samples_per_pair=args.samples,
-                                speculation=_speculation_spec(args),
                                 backend=args.backend))
 
 
@@ -403,7 +394,6 @@ def _fleet_scenario(args, placement_key: str) -> Scenario:
         devices=_fleet_devices(args),
         execution=ExecutionSpec(workers=args.workers,
                                 samples_per_pair=args.samples,
-                                speculation=_speculation_spec(args),
                                 backend=args.backend),
         faults=_fault_spec(args),
         admission=_admission_spec(args))
@@ -427,43 +417,16 @@ def _print_result_summary(result: RunResult) -> None:
               f"spec {prov['spec_hash'][:10]})"))
 
 
-def _print_speculation(result: RunResult,
-                       report_path: Optional[str] = None) -> None:
-    """Report speculation counters next to (never inside) the result."""
-    counters = result.speculation
-    if counters is None:
-        return
-    print(f"speculation: {counters['hits']} hit(s) / "
-          f"{counters['misses']} miss(es) "
-          f"(hit rate {counters['hit_rate']:.2f}), "
-          f"{counters['submitted']} submitted, "
-          f"{counters['discarded']} discarded")
-    if report_path:
-        pathlib.Path(report_path).write_text(
-            json.dumps(counters, sort_keys=True, indent=2) + "\n")
-        print(f"wrote speculation counters to {report_path}")
-
-
 def cmd_run(args) -> int:
     try:
         scenario = Scenario.from_json(
             pathlib.Path(args.scenario).read_text())
     except ValueError as exc:
         raise SystemExit(f"{args.scenario}: {exc}") from None
-    if args.speculation is not None:
-        # Override without touching the file; "none" disables (the
-        # spec canonicalizes it to an absent block).
-        try:
-            scenario = dataclasses.replace(
-                scenario,
-                execution=dataclasses.replace(
-                    scenario.execution,
-                    speculation=SpeculationSpec(kind=args.speculation)))
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
     if args.backend is not None:
-        # Same override discipline: the backend is resources-not-
-        # identity, so swapping it never changes the result bytes.
+        # Override without touching the file: the backend is
+        # resources-not-identity, so swapping it never changes the
+        # result bytes.
         try:
             scenario = dataclasses.replace(
                 scenario,
@@ -480,7 +443,6 @@ def cmd_run(args) -> int:
         if executor is not None:
             executor.close()
     _print_result_summary(result)
-    _print_speculation(result, args.speculation_report)
     _print_telemetry(result, telemetry)
     if args.out:
         _write_result(result, args.out)
@@ -605,7 +567,6 @@ def cmd_run_stream(args) -> int:
                 args, suffix=f".{key}" if len(keys) > 1 else "")
             result = _run_or_exit(_stream_scenario(args, key), executor,
                                   telemetry)
-            _print_speculation(result)
             _print_telemetry(result, telemetry)
             m = result.metrics
             apps = m["apps"]
@@ -646,7 +607,6 @@ def cmd_run_fleet(args) -> int:
             telemetry = _telemetry_from_args(
                 args, suffix=f".{key}" if len(keys) > 1 else "")
             result = _run_or_exit(scenario, executor, telemetry)
-            _print_speculation(result)
             _print_telemetry(result, telemetry)
             m = result.metrics
             apps = m["apps"]
@@ -768,18 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="override the scenario's worker count (results "
                         "are bit-identical for any value)")
-    p.add_argument("--speculation", default=None,
-                   choices=REGISTRY.names("speculation"),
-                   help="override the scenario's speculation strategy "
-                        "(results are bit-identical for any value; "
-                        "'none' disables)")
     p.add_argument("--backend", default=None,
                    choices=REGISTRY.names("engine-backends"),
                    help="override the scenario's engine backend "
                         "(results are bit-identical for any value)")
-    p.add_argument("--speculation-report", default=None, metavar="PATH",
-                   help="write the speculation counters (hits, misses, "
-                        "discarded, ...) to this JSON file")
     add_telemetry_arguments(p, trace_flag="--trace")
 
     p = sub.add_parser("sweep", help="run a base scenario x parameter grid")
@@ -894,11 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=REGISTRY.names("online-policies"))
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for profiling/interference")
-    p.add_argument("--speculation", default="none",
-                   choices=REGISTRY.names("speculation"),
-                   help="pre-simulate predicted next groups on idle "
-                        "workers (results are bit-identical; default "
-                        "none)")
     add_telemetry_arguments(p)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="print the scheduled timeline per policy")
@@ -924,11 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for same-instant group "
                         "simulations and profiling")
-    p.add_argument("--speculation", default="none",
-                   choices=REGISTRY.names("speculation"),
-                   help="pre-simulate predicted next groups on idle "
-                        "workers (results are bit-identical; default "
-                        "none)")
     p.add_argument("--faults", default="none",
                    choices=REGISTRY.names("faults"),
                    help="fault injection: scheduled events, mtbf churn, "

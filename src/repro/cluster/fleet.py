@@ -43,7 +43,6 @@ from repro.runtime.engine import AppRecord, Arrival, ScheduledGroup
 from repro.runtime.executors import (DEFAULT_MAX_CYCLES, Executor,
                                      SerialExecutor)
 from repro.runtime.online import OnlinePolicy
-from repro.runtime.speculation import SpeculativeSimulator
 
 from .device import Device, Entry
 from .faults import (VERDICTS, AdmissionPolicy, FailedGroup, FaultEvent,
@@ -148,7 +147,6 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
               device_contexts: Optional[Sequence[PolicyContext]] = None,
               faults: Optional[FaultPlan] = None,
               admission: Optional[AdmissionPolicy] = None,
-              speculation: Optional[SpeculativeSimulator] = None,
               telemetry: Optional[Telemetry] = None) -> FleetOutcome:
     """Drain `arrivals` across `num_devices` devices; return the timeline.
 
@@ -183,20 +181,10 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
     arrivals are recorded (reason = the policy name), deferred arrivals
     re-offer ``defer_gap`` cycles later up to ``max_defers`` times.
 
-    `speculation` (a :class:`~repro.runtime.speculation
-    .SpeculativeSimulator`) overlaps simulation with the virtual clock
-    without changing any result: every launch is preceded by
-    predictions of the launching device's likely *next* groups (a
-    cloned policy replayed against its queue snapshot) so workers
-    pre-simulate them; a launch matching a prediction commits the
-    stored result (bit-identical by ``run_group``'s purity), a mismatch
-    discards it unobserved.
-
-    All of it is deterministic and bit-identical for any worker count
-    and any speculation mode: every decision (placement, fault
-    application, admission, transient failure draws) happens on this
-    loop's clock, never in a worker.  The clock advances one way only,
-    to the earliest pending event.
+    All of it is deterministic and bit-identical for any worker count:
+    every decision (placement, fault application, admission, transient
+    failure draws) happens on this loop's clock, never in a worker.
+    The clock advances one way only, to the earliest pending event.
 
     `telemetry` (a :class:`~repro.obs.Telemetry`) observes the run —
     virtual-clock trace events, deterministic counters, wall-clock
@@ -228,8 +216,6 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
     tracer = telemetry.tracer if telemetry is not None else None
     metrics = telemetry.metrics if telemetry is not None else None
     profiler = telemetry.profiler if telemetry is not None else None
-    if speculation is not None and telemetry is not None:
-        speculation.attach_telemetry(telemetry)
     if tracer is not None:
         for d in devices:
             d.tracer = tracer
@@ -370,10 +356,6 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
             else:
                 devices[ev.device].recover(now,
                                            policy_factory(ev.device))
-            if speculation is not None:
-                # The device's policy was drained or replaced; its
-                # predicted future is void either way.
-                speculation.discard(ev.device)
 
         # 2) re-place displaced work first (it has been in the system
         #    longest), then deferred re-offers, then fresh arrivals.
@@ -423,27 +405,14 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                         f"{assignments[name]}")
             launches.append((device, group))
         if launches:
-            if speculation is not None:
-                # Predict each launching device's likely successors
-                # (workers pre-simulate them while this instant's batch
-                # resolves), then serve the batch from the store where
-                # a prediction already hit.
-                for device, _group in launches:
-                    speculation.predict(device.device_id, device.policy,
-                                        now, ctx_of(device), max_cycles)
-                outcomes = speculation.fetch_batch(
-                    [(d.device_id, g, ctx_of(d).config,
-                      ctx_of(d).smra_params) for d, g in launches],
-                    max_cycles, now=now)
-            else:
-                # Every group simulates on its launching device's own
-                # configuration (the fleet-wide one when homogeneous);
-                # the instant's batch fans out as one job list.
-                with phase_of(profiler, "simulate"):
-                    outcomes = executor.run_device_groups(
-                        [(g, ctx_of(d).config, ctx_of(d).smra_params)
-                         for d, g in launches],
-                        max_cycles, backend=ctx.backend)
+            # Every group simulates on its launching device's own
+            # configuration (the fleet-wide one when homogeneous); the
+            # instant's batch fans out as one job list.
+            with phase_of(profiler, "simulate"):
+                outcomes = executor.run_device_groups(
+                    [(g, ctx_of(d).config, ctx_of(d).smra_params)
+                     for d, g in launches],
+                    max_cycles, backend=ctx.backend)
             for (device, _group), outcome in zip(launches, outcomes):
                 members = list(outcome.members)
                 failed = faults is not None and faults.group_fails(
@@ -504,8 +473,6 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
 
     for device in devices:
         device.close_downtime(now)
-    if speculation is not None:
-        speculation.close()
 
     if metrics is not None:
         # Fold per-device derived counters into the run registry in

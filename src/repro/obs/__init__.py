@@ -9,7 +9,7 @@ profiler is attached:
 * :mod:`.trace` — virtual-clock :class:`TraceEvent` stream with JSONL
   and Chrome ``trace_event`` exporters (open a fleet run in Perfetto).
 * :mod:`.metrics` — deterministic, worker-count-invariant counters /
-  gauges / histograms in the ``SpeculationCounters`` discipline.
+  gauges / histograms, updated in serial commit order.
 * :mod:`.profiling` — wall-clock phase timers for ``--profile``,
   strictly outside the virtual-clock path.
 
@@ -109,9 +109,6 @@ class Telemetry:
         if self.profiler is not None:
             out["profile"] = self.profiler.to_dict()
         return out
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "Telemetry":
-        return self
 
 
 # -- registry wiring ---------------------------------------------------------

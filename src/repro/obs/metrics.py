@@ -1,7 +1,6 @@
 """Deterministic metrics: counters, gauges, fixed-bucket histograms.
 
-The registry follows the PR-7 ``SpeculationCounters`` discipline:
-every update happens on the coordinating loop's thread, in **serial
+Every update happens on the coordinating loop's thread, in **serial
 commit order** — the order in which results are merged back from the
 executor, which is identical at any worker count.  Worker processes
 never touch a registry; whatever they compute flows back through the
@@ -14,8 +13,8 @@ ones: adaptive buckets would depend on observation order nuances and
 float summaries; integer counts in pinned buckets compare with ``==``.
 
 Nothing here is ever serialized into the canonical ``RunResult`` JSON
-— the registry rides the same side-channel as ``RunResult.speculation``
-(a ``ClassVar`` the dataclass serializer ignores).
+— the registry rides the ``RunResult.telemetry`` side channel (a
+``ClassVar`` the dataclass serializer ignores).
 """
 
 from __future__ import annotations
@@ -168,8 +167,3 @@ class MetricsRegistry:
                     if bound is not None:
                         mine.max = (bound if mine.max is None
                                     else max(mine.max, bound))
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "MetricsRegistry":
-        # Shared by identity for the same reason as Tracer: snapshots
-        # of policies/devices must not fork the instrument table.
-        return self

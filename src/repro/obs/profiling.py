@@ -1,9 +1,9 @@
 """Wall-clock phase profiling — strictly outside the virtual clock.
 
 :class:`PhaseProfiler` times named phases of the host process
-(``simulate`` / ``predict`` / ``commit-check`` / ``placement`` /
-``solver`` / ``merge``) with ``time.perf_counter``.  Wall-clock numbers
-never feed back into any scheduling decision, never enter a
+(``simulate`` / ``placement`` / ``solver`` / ``merge``) with
+``time.perf_counter``.  Wall-clock numbers never feed back into any
+scheduling decision, never enter a
 :class:`~repro.obs.trace.TraceEvent`, and never reach the canonical
 ``RunResult`` JSON — they exist only for the ``--profile`` summary
 table and the ``telemetry_overhead`` benchmark entry.
@@ -28,8 +28,7 @@ from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Canonical phase names used by the engines (callers may add more).
-PHASES: Tuple[str, ...] = ("simulate", "predict", "commit-check",
-                           "placement", "solver", "merge")
+PHASES: Tuple[str, ...] = ("simulate", "placement", "solver", "merge")
 
 
 _NO_PHASE = nullcontext()
@@ -103,6 +102,3 @@ class PhaseProfiler:
                          f"{mean_ms:>10.4f} {1e3 * peak:>10.4f} "
                          f"{100.0 * total / grand:>6.1f}%")
         return "\n".join(lines)
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "PhaseProfiler":
-        return self

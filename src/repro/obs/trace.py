@@ -2,8 +2,7 @@
 
 Every interesting decision of the execution loops — arrivals, admission
 verdicts, placement choices with per-candidate scores, launches, group
-retirements, faults, recoveries, requeues and speculation
-predict/hit/miss — becomes one
+retirements, faults, recoveries and requeues — becomes one
 :class:`TraceEvent` stamped with the **virtual** cycle at which it
 happened.  Wall-clock time never appears in an event, which is what
 makes a trace comparable across worker counts: the same scenario run at
@@ -21,8 +20,8 @@ Two exporters:
   their duration, so group executions render as solid spans.
 
 Every event is emitted on the fleet loop's one clock, after the
-decision it describes, so a trace describes the timeline the result
-records regardless of speculation strategy.
+decision it describes, so a trace describes exactly the timeline the
+result records.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     "fault",            # device went DOWN
     "recover",          # device came back UP
     "requeue",          # displaced/failed work re-entered a queue
-    "predict",          # speculation submitted pre-simulations
-    "spec_hit",         # a needed group was already pre-simulated
-    "spec_miss",        # a needed group had to be simulated on demand
 )
 
 _KIND_SET = frozenset(EVENT_KINDS)
@@ -102,12 +98,6 @@ class Tracer:
     def emit(self, kind: str, cycle: int, device: Optional[int] = None,
              app: str = "", **data: Any) -> None:
         """Record one event.  ``data`` must be JSON-serializable."""
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "Tracer":
-        # Policies are deep-copied for speculative prediction; a tracer
-        # riding along must stay shared by identity, never duplicated
-        # (a copy would fork the event list).
-        return self
 
 
 class RecordingTracer(Tracer):

@@ -13,10 +13,6 @@ Three coordinated layers on top of :mod:`repro.core`:
   an arrival stream as a one-device :func:`repro.cluster.run_fleet`;
   :func:`drain_queue` is the batch special case behind the classic
   ``run_queue`` API.
-* **speculation** (:mod:`.speculation`) — the speculative-execution
-  layer: :class:`SpeculativeSimulator` pre-simulates a policy's likely
-  next groups on idle workers and commits only bit-identical hits, so
-  results never depend on whether (or how) speculation ran.
 """
 
 from .engine import (AppRecord, Arrival, ScheduledGroup, StreamOutcome,
@@ -25,8 +21,6 @@ from .executors import (Executor, ParallelExecutor, SerialExecutor,
                         make_executor, workers_from_env)
 from .online import (BatchPolicyAdapter, ClassAwareBackfill, OnlineFCFS,
                      OnlinePolicy, online_policy)
-from .speculation import (SpeculationCounters, SpeculationStrategy,
-                          SpeculativeSimulator, make_speculation)
 
 __all__ = [
     "Arrival", "AppRecord", "ScheduledGroup", "StreamOutcome",
@@ -35,6 +29,4 @@ __all__ = [
     "workers_from_env",
     "OnlinePolicy", "OnlineFCFS", "BatchPolicyAdapter",
     "ClassAwareBackfill", "online_policy",
-    "SpeculationStrategy", "SpeculationCounters", "SpeculativeSimulator",
-    "make_speculation",
 ]

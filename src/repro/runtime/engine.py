@@ -29,7 +29,6 @@ from repro.obs import Telemetry, phase_of
 
 from .executors import DEFAULT_MAX_CYCLES, Executor, SerialExecutor
 from .online import OnlinePolicy
-from .speculation import SpeculativeSimulator
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class StreamOutcome:
 def run_stream(arrivals: Sequence[Arrival], policy: OnlinePolicy,
                ctx: PolicyContext,
                max_cycles: int = DEFAULT_MAX_CYCLES,
-               speculation: Optional[SpeculativeSimulator] = None,
                telemetry: Optional[Telemetry] = None) -> StreamOutcome:
     """Drive `policy` over `arrivals` on one device; return the timeline.
 
@@ -120,18 +118,15 @@ def run_stream(arrivals: Sequence[Arrival], policy: OnlinePolicy,
     policy holds waiting applications but returns no group with no
     arrivals left.
 
-    `speculation` (a :class:`~repro.runtime.speculation
-    .SpeculativeSimulator`) pre-simulates the policy's likely next
-    groups; `telemetry` (a
-    :class:`~repro.obs.Telemetry`) observes the run.  Neither changes
-    the returned timeline.
+    `telemetry` (a :class:`~repro.obs.Telemetry`) observes the run
+    without changing the returned timeline.
     """
     # Imported here: repro.cluster imports this module.
     from repro.cluster import RoundRobinPlacement, run_fleet
 
     fleet = run_fleet(arrivals, RoundRobinPlacement(), lambda _i: policy,
                       ctx, num_devices=1, max_cycles=max_cycles,
-                      speculation=speculation, telemetry=telemetry)
+                      telemetry=telemetry)
     device = fleet.devices[0]
     return StreamOutcome(policy=policy.name, config=ctx.config,
                          groups=device.groups, records=fleet.records,

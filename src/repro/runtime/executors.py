@@ -124,34 +124,6 @@ class _LazyJobFuture:
         return False
 
 
-class _LazyGroupFuture:
-    """Future-alike that simulates on first ``result()`` call.
-
-    :meth:`SerialExecutor.submit_group` returns these so speculative
-    submissions cost nothing unless the prediction is actually consumed
-    — a discarded miss under the serial executor is free, keeping
-    single-worker speculation wall-clock neutral.
-    """
-
-    __slots__ = ("_job", "_outcome")
-
-    def __init__(self, job):
-        self._job = job
-        self._outcome = None
-
-    def result(self) -> GroupOutcome:
-        if self._job is not None:
-            self._outcome = _group_job(self._job)
-            self._job = None
-        return self._outcome
-
-    def cancel(self) -> bool:
-        if self._job is not None:
-            self._job = None
-            return True
-        return False
-
-
 class Executor:
     """Runs independent simulation jobs; results come back in job order."""
 
@@ -168,29 +140,13 @@ class Executor:
         heterogeneous fleet."""
         raise NotImplementedError
 
-    def submit_group(self, group: PlannedGroup, config: GPUConfig,
-                     smra_params: SMRAParams = SMRAParams(),
-                     max_cycles: int = DEFAULT_MAX_CYCLES,
-                     backend: str = "event"):
-        """Submit one group simulation asynchronously.
-
-        Returns a future-alike with ``result()`` / ``cancel()``.  The
-        speculation layer uses this to start *predicted* groups while
-        the virtual clock is still blocked on an in-flight one; the
-        serial executor returns a lazy future (computed only if the
-        prediction hits), the process pool a real ``Future``.
-        """
-        raise NotImplementedError
-
     def submit_job(self, fn, *args):
         """Submit an arbitrary picklable ``fn(*args)`` job.
 
-        The generic sibling of :meth:`submit_group` for work that is
-        not a group simulation — the campaign layer fans whole shard
-        runs out through it.  The serial executor returns a lazy
-        future (the job runs when ``result()`` is first called), the
-        process pool a real ``Future``; either way ``result()``
-        returns ``fn(*args)``.
+        The campaign layer fans whole shard runs out through it.  The
+        serial executor returns a lazy future (the job runs when
+        ``result()`` is first called), the process pool a real
+        ``Future``; either way ``result()`` returns ``fn(*args)``.
         """
         raise NotImplementedError
 
@@ -227,11 +183,6 @@ class SerialExecutor(Executor):
         return [run_group(group, config, smra_params, max_cycles,
                           backend=backend)
                 for group, config, smra_params in jobs]
-
-    def submit_group(self, group, config, smra_params=SMRAParams(),
-                     max_cycles=DEFAULT_MAX_CYCLES, backend="event"):
-        return _LazyGroupFuture((group, config, smra_params, max_cycles,
-                                 backend))
 
     def submit_job(self, fn, *args):
         return _LazyJobFuture(fn, args)
@@ -278,14 +229,6 @@ class ParallelExecutor(Executor):
         return self._map(_group_job,
                          [(group, config, smra_params, max_cycles, backend)
                           for group, config, smra_params in jobs])
-
-    def submit_group(self, group, config, smra_params=SMRAParams(),
-                     max_cycles=DEFAULT_MAX_CYCLES, backend="event"):
-        # A real Future: the speculative simulation starts on an idle
-        # worker immediately, overlapping the in-flight group the
-        # virtual clock is blocked on.
-        return self._ensure_pool().submit(
-            _group_job, (group, config, smra_params, max_cycles, backend))
 
     def submit_job(self, fn, *args):
         return self._ensure_pool().submit(fn, *args)

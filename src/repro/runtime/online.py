@@ -27,7 +27,6 @@ matrix predicts to co-run best with it.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
@@ -53,7 +52,7 @@ class OnlinePolicy:
     needs_interference = False
     #: Optional :class:`~repro.obs.Tracer` attached by the engine when
     #: telemetry is on.  Class-level default so pickled/legacy policy
-    #: instances keep working; never copied into prediction clones.
+    #: instances keep working.
     tracer = None
 
     def __init__(self):
@@ -88,25 +87,6 @@ class OnlinePolicy:
         entries = list(self.waiting)
         self.waiting.clear()
         return entries
-
-    def clone_for_prediction(self) -> "OnlinePolicy":
-        """An independent copy used to *predict* future decisions.
-
-        The speculation layer replays ``next_group`` on the clone to
-        learn which groups this policy will most likely launch next;
-        the clone's decisions are never applied, so the copy must share
-        no mutable state with the live policy.  A deep copy is correct
-        for every shipped policy (their state is queues of entries plus
-        plain caches); policies holding unclonable resources should
-        override this — raising disables prediction for them.
-        """
-        clone = copy.deepcopy(self)
-        # Tracers deep-copy by identity (they must not fork the event
-        # list), so the clone would share the live tracer — and its
-        # replayed decisions would pollute the trace.  Predictions are
-        # invisible to telemetry by construction.
-        clone.tracer = None
-        return clone
 
 
 class OnlineFCFS(OnlinePolicy):

@@ -172,14 +172,6 @@ class TestBackendParity:
         parallel = run_scenario(_tiny_stream(backend="vector", workers=4))
         assert serial.to_json() == parallel.to_json()
 
-    def test_speculative_vector_matches_serial_event(self):
-        from repro.api.scenario import SpeculationSpec
-        spec = SpeculationSpec(kind="groups")
-        event = run_scenario(_tiny_stream())
-        vector = run_scenario(_tiny_stream(backend="vector",
-                                           speculation=spec))
-        assert _strip_backend(event) == _strip_backend(vector)
-
 
 class TestProvenance:
     def test_event_backend_not_recorded(self):

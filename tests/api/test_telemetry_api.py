@@ -5,8 +5,7 @@ The two contracts this file pins:
 * **Identity** — telemetry is observation, never computation: a
   scenario's ``spec_hash`` and its canonical result JSON are
   byte-identical with telemetry off vs any kind, at workers 1 and 4,
-  for every committed fleet example (and with speculation ``groups``
-  layered on top).
+  for every committed fleet example.
 * **Determinism of the observations themselves** — the trace event
   stream and the metrics registry snapshot are worker-count-invariant:
   ``--workers 1`` and ``--workers 4`` record byte-identical JSONL
@@ -19,8 +18,7 @@ import pathlib
 
 import pytest
 
-from repro.api import (ExecutionSpec, Scenario, SpeculationSpec,
-                       TelemetrySpec, run_scenario)
+from repro.api import ExecutionSpec, Scenario, TelemetrySpec, run_scenario
 from repro.obs import export_jsonl, make_telemetry
 
 SCENARIO_DIR = (pathlib.Path(__file__).resolve().parents[2]
@@ -34,9 +32,8 @@ def load(name):
     return Scenario.from_json((SCENARIO_DIR / name).read_text())
 
 
-def with_workers(scenario, workers, speculation=None):
-    execution = dataclasses.replace(scenario.execution, workers=workers,
-                                    speculation=speculation)
+def with_workers(scenario, workers):
+    execution = dataclasses.replace(scenario.execution, workers=workers)
     return dataclasses.replace(scenario, execution=execution)
 
 
@@ -135,21 +132,6 @@ class TestObservationDeterminism:
                               telemetry.metrics.to_dict()))
         assert snapshots[0][0] == snapshots[1][0], name
         assert snapshots[0][1] == snapshots[1][1], name
-
-    def test_trace_equal_w1_w4_with_speculation_groups(self):
-        scenario = load("fleet_faults.json")
-        spec = SpeculationSpec(kind="groups", commit_check=True)
-        plain = run_scenario(with_workers(scenario, 1)).to_json()
-        traces = []
-        for workers in (1, 4):
-            telemetry = make_telemetry("full")
-            result = run_scenario(
-                with_workers(scenario, workers, speculation=spec),
-                telemetry=telemetry)
-            assert result.to_json() == plain, workers
-            traces.append((export_jsonl(telemetry.events),
-                           telemetry.metrics.to_dict()))
-        assert traces[0] == traces[1]
 
     def test_metrics_count_what_the_run_did(self):
         scenario = load("fleet_small.json")

@@ -223,6 +223,50 @@ class TestDeviceFailure:
         assert fingerprint(serial) == fingerprint(parallel)
 
 
+def bursty_arrivals(n, burst, gap):
+    """`n` apps in bursts of `burst`, one burst every `gap` cycles, so
+    every device holds a backlog when faults strike."""
+    return [Arrival((i // burst) * gap, f"app{i}",
+                    make_tiny_spec(f"app{i}", seed=i)) for i in range(n)]
+
+
+class TestBackloggedFaults:
+    """Faults under a backlog: requeued and re-placed work must follow
+    the serial schedule exactly when groups fan out over a pool."""
+
+    def test_transient_requeue_identical_w1_w2(self, ctx):
+        arrivals = bursty_arrivals(24, burst=12, gap=8000)
+
+        def drain(executor=None):
+            return run_fleet(
+                arrivals, LeastLoadedPlacement(), fcfs_factory(), ctx,
+                num_devices=2, executor=executor,
+                faults=transient_plan(2, fail_prob=0.3, max_retries=4,
+                                      seed=11))
+
+        serial = drain()
+        assert any(r.retries for r in serial.records.values())
+        with ParallelExecutor(2) as pool:
+            parallel = drain(pool)
+        assert fingerprint(serial) == fingerprint(parallel)
+
+    def test_outage_and_recovery_identical_w1_w2(self, ctx):
+        arrivals = bursty_arrivals(16, burst=8, gap=6000)
+
+        def drain(executor=None):
+            return run_fleet(
+                arrivals, RoundRobinPlacement(), fcfs_factory(), ctx,
+                num_devices=2, executor=executor,
+                faults=scheduled_plan(2, events=[(3000, 1, "down"),
+                                                 (9000, 1, "up")]))
+
+        serial = drain()
+        assert [ev.device for ev in serial.fault_events] == [1, 1]
+        with ParallelExecutor(2) as pool:
+            parallel = drain(pool)
+        assert fingerprint(serial) == fingerprint(parallel)
+
+
 class TestAdmission:
     def test_queue_cap_reject_accounting(self, ctx):
         arrivals = arrivals_every(10, 10)

@@ -1,7 +1,5 @@
 """Unit contract of repro.obs.metrics: deterministic instruments."""
 
-import copy
-
 import pytest
 
 from repro.obs import HISTOGRAM_EDGES, MetricsRegistry
@@ -93,7 +91,3 @@ class TestRegistry:
         for reg in reversed(device_regs()):
             backward.merge(reg)
         assert forward.to_dict() == backward.to_dict()
-
-    def test_deepcopy_shares_identity(self):
-        reg = MetricsRegistry()
-        assert copy.deepcopy(reg) is reg

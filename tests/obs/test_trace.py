@@ -1,6 +1,5 @@
 """Unit contract of repro.obs.trace: events, tracer, exporters."""
 
-import copy
 import json
 
 import pytest
@@ -46,14 +45,6 @@ class TestTracer:
         tracer.emit("arrival", 7.0, app="NN")
         assert tracer.events[0].cycle == 7
         assert isinstance(tracer.events[0].cycle, int)
-
-    def test_deepcopy_shares_identity(self):
-        # Policies carrying a tracer are deep-copied for prediction and
-        # window snapshots; the tracer must never fork its event list.
-        tracer = RecordingTracer()
-        assert copy.deepcopy(tracer) is tracer
-        holder = {"t": tracer}
-        assert copy.deepcopy(holder)["t"] is tracer
 
     def test_event_round_trips_through_dict(self):
         for event in sample_events():

@@ -5,11 +5,10 @@ Drives :func:`validate_events` directly with hand-built event streams
 front door over both export formats.
 """
 
-import dataclasses
 import importlib.util
 import pathlib
 
-from repro.api import Scenario, SpeculationSpec, run_scenario
+from repro.api import Scenario, run_scenario
 from repro.obs import RecordingTracer, TraceEvent, make_telemetry, write_trace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -62,31 +61,13 @@ class TestValidEventStreams:
         )
         assert lint.validate_events(stream) == []
 
-    def test_speculation_kinds_on_the_device_timeline(self):
-        stream = events(
-            ("predict", 100, dict(device=0, submitted=2)),
-            ("spec_miss", 100, dict(device=0, members=["NN"])),
-            launch(100, 0, ["NN"]),
-            finish(200, 0, ["NN"]),
-            ("spec_hit", 200, dict(device=0, members=["BFS2"])),
-            launch(200, 0, ["BFS2"]),
-            finish(300, 0, ["BFS2"]),
-        )
-        assert lint.validate_events(stream) == []
-
     def test_traced_groups_run_of_fleet_faults(self):
         scenario = Scenario.from_json(
             (SCENARIO_DIR / "fleet_faults.json").read_text())
-        scenario = dataclasses.replace(
-            scenario, execution=dataclasses.replace(
-                scenario.execution,
-                speculation=SpeculationSpec(kind="groups",
-                                            commit_check=True)))
         telemetry = make_telemetry("trace")
-        result = run_scenario(scenario, telemetry=telemetry)
-        assert result.speculation["hits"] > 0
+        run_scenario(scenario, telemetry=telemetry)
         kinds = {ev.kind for ev in telemetry.events}
-        assert {"predict", "spec_hit", "spec_miss"} <= kinds
+        assert {"launch", "fault", "recover", "requeue"} <= kinds
         assert lint.validate_events(telemetry.events) == []
 
 
@@ -125,19 +106,26 @@ class TestInvalidEventStreams:
         assert any("end of trace" in e and "in flight" in e
                    for e in errors)
 
-    def test_backwards_spec_hit(self):
+    def test_backwards_recover(self):
         stream = events(
             launch(500, 0, ["NN"]),
             finish(600, 0, ["NN"]),
-            ("spec_hit", 550, dict(device=0, members=["BFS2"])),
+            ("recover", 550, dict(device=0)),
         )
         errors = lint.validate_events(stream)
-        assert any("spec_hit @ 550" in e and "went backwards" in e
+        assert any("recover @ 550" in e and "went backwards" in e
                    for e in errors)
 
     def test_retired_window_kinds_are_unknown(self):
         stream = [TraceEvent(kind, 0) for kind in
                   ("window_open", "window_rollback", "window_commit")]
+        errors = lint.validate_events(stream)
+        assert len(errors) == 3
+        assert all("unknown event kind" in e for e in errors)
+
+    def test_retired_speculation_kinds_are_unknown(self):
+        stream = [TraceEvent(kind, 0, device=0) for kind in
+                  ("predict", "spec_hit", "spec_miss")]
         errors = lint.validate_events(stream)
         assert len(errors) == 3
         assert all("unknown event kind" in e for e in errors)

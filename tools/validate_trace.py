@@ -10,10 +10,8 @@ checks the invariants the engines guarantee by construction:
 1. **Known, well-formed events** — every event kind is in the closed
    taxonomy and every cycle stamp is a non-negative integer.
 2. **Monotonic per-device timelines** — for *timeline* kinds (launch,
-   group_finish, group_failed, fault, recover, and the speculation
-   kinds predict, spec_hit, spec_miss, which the fleet loop stamps on
-   its one global clock) the cycle stamps of each device track never
-   decrease.
+   group_finish, group_failed, fault, recover) the cycle stamps of each
+   device track never decrease.
 3. **Launch/retire pairing** — per device track, a ``launch`` while a
    group is still in flight is an error; ``group_finish`` /
    ``group_failed`` / ``fault`` close the in-flight group (with
@@ -45,7 +43,7 @@ from repro.obs import EVENT_KINDS, TraceEvent, load_events  # noqa: E402
 #: Kinds whose cycle stamps form a per-device timeline and
 #: must therefore never decrease within one device track.
 TIMELINE_KINDS = ("launch", "group_finish", "group_failed", "fault",
-                  "recover", "predict", "spec_hit", "spec_miss")
+                  "recover")
 
 #: Kinds that close an in-flight launch on their device track.
 _CLOSERS = ("group_finish", "group_failed", "fault")
