@@ -108,44 +108,15 @@ def _empty_summary(outcome) -> StreamSummary:
         latency_p50=0.0, latency_p90=0.0, latency_p99=0.0)
 
 
-def _streaming_summary(outcome, records, solo_cycles) -> StreamSummary:
-    """O(1)-memory scorecard via :mod:`.incremental` estimators."""
-    from .incremental import StreamAccumulator
-    acc = StreamAccumulator()
-    for rec in records:
-        acc.push(rec.arrival_cycle, rec.start_cycle, rec.finish_cycle,
-                 solo_cycles[rec.name])
-    m = acc.metrics()
-    return StreamSummary(
-        policy=outcome.policy, apps=acc.apps, makespan=outcome.makespan,
-        device_throughput=outcome.device_throughput,
-        utilization=outcome.utilization,
-        antt=m["antt"], stp=m["stp"],
-        service_slowdown=m["service_slowdown"],
-        wait_p50=m["wait_p50"], wait_p90=m["wait_p90"],
-        wait_p99=m["wait_p99"],
-        latency_p50=m["latency_p50"], latency_p90=m["latency_p90"],
-        latency_p99=m["latency_p99"])
-
-
-def summarize_stream(outcome, solo_cycles: Mapping[str, int],
-                     streaming: bool = False) -> StreamSummary:
-    """Compute the :class:`StreamSummary` of one stream outcome.
-
-    With ``streaming=True`` the percentiles come from the
-    bounded-memory estimators in :mod:`.incremental` instead of sorted
-    in-memory lists — exact (bit-identical) below the estimators'
-    ``exact_limit``, within the documented P² tolerance above it.  The
-    default in-memory path is untouched either way.
-    """
+def summarize_stream(outcome, solo_cycles: Mapping[str, int]
+                     ) -> StreamSummary:
+    """Compute the :class:`StreamSummary` of one stream outcome."""
     records = list(outcome.records.values())
     if not records:
         return _empty_summary(outcome)
     missing = [r.name for r in records if r.name not in solo_cycles]
     if missing:
         raise ValueError(f"missing solo cycles for: {', '.join(missing)}")
-    if streaming:
-        return _streaming_summary(outcome, records, solo_cycles)
 
     # ANTT / STP come from the shared metric definitions in
     # :mod:`.metrics`, fed with turnaround (arrival → finish) as the

@@ -369,8 +369,8 @@ def _device_contexts(scenario, ctx, executor):
 
     Contexts are shared between devices of the same configuration (the
     profiler and interference caches are per config anyway); the
-    homogeneous case returns ``None`` so :func:`repro.cluster.run_fleet`
-    keeps its bit-identical classic path.
+    homogeneous case returns ``None`` and :func:`repro.cluster.run_fleet`
+    hands every device `ctx`.
     """
     if not scenario.devices.heterogeneous:
         return None

@@ -22,6 +22,7 @@ from repro.gpusim import GPUConfig, KernelSpec
 
 from repro.core.policies import PlannedGroup, PolicyContext
 from repro.core.scheduler import GroupOutcome
+from repro.obs import Tracer
 from repro.runtime.engine import ScheduledGroup
 from repro.runtime.online import OnlinePolicy
 
@@ -33,12 +34,12 @@ Entry = Tuple[str, KernelSpec]
 class Device:
     """Per-device queue + policy state driven by the fleet clock.
 
-    ``ctx`` is the device's own :class:`PolicyContext` in a
-    heterogeneous fleet — its profiler, classification thresholds, and
+    ``ctx`` is the :class:`PolicyContext` the device simulates and
+    decides with — its profiler, classification thresholds, and
     interference matrix are all measured on *this device's*
     :class:`GPUConfig`, so policy and placement decisions use
-    device-correct denominators.  ``None`` (the homogeneous default)
-    means the fleet-wide context applies.
+    device-correct denominators.  A homogeneous fleet hands every
+    device the same context.
     """
 
     __slots__ = ("device_id", "policy", "ctx", "resident", "groups",
@@ -47,15 +48,15 @@ class Device:
                  "_down_since", "_inflight_failed", "tracer")
 
     def __init__(self, device_id: int, policy: OnlinePolicy,
-                 ctx: Optional[PolicyContext] = None):
+                 ctx: PolicyContext):
         if device_id < 0:
             raise ValueError("device_id must be >= 0")
         self.device_id = device_id
         self.policy = policy
         self.ctx = ctx
-        #: Optional :class:`~repro.obs.Tracer`, attached by the fleet
-        #: loop when the run is traced.
-        self.tracer = None
+        #: The run's :class:`~repro.obs.Tracer`, attached by the fleet
+        #: loop (the no-op base class when the run is untraced).
+        self.tracer = Tracer()
         #: Applications assigned here and not yet finished (waiting or
         #: running) — the "queue" of join-shortest-queue placement and
         #: the class mix interference-aware placement scores against.
@@ -79,9 +80,9 @@ class Device:
         self._inflight_failed = False
 
     @property
-    def config(self) -> Optional[GPUConfig]:
-        """This device's configuration (None = fleet default)."""
-        return self.ctx.config if self.ctx is not None else None
+    def config(self) -> GPUConfig:
+        """This device's configuration."""
+        return self.ctx.config
 
     @property
     def busy(self) -> bool:
@@ -112,18 +113,17 @@ class Device:
             return 0
         return max(0, self.completion_cycle - now)
 
-    def assign(self, entry: Entry, now: int, ctx: PolicyContext) -> None:
+    def assign(self, entry: Entry, now: int) -> None:
         """Placement routed `entry` here: it joins the waiting queue."""
         self.resident.append(entry)
-        self.policy.on_arrival(entry, now, ctx)
+        self.policy.on_arrival(entry, now, self.ctx)
 
-    def next_group(self, now: int,
-                   ctx: PolicyContext) -> Optional[PlannedGroup]:
+    def next_group(self, now: int) -> Optional[PlannedGroup]:
         """Ask the policy what to launch; only valid while idle."""
         if self.busy:
             raise RuntimeError(
                 f"device {self.device_id} asked for a group while busy")
-        return self.policy.next_group(now, ctx)
+        return self.policy.next_group(now, self.ctx)
 
     def launch(self, outcome: GroupOutcome, now: int,
                failed: bool = False) -> None:
@@ -140,18 +140,17 @@ class Device:
         if not self.up:
             raise RuntimeError(
                 f"device {self.device_id} launched a group while DOWN")
-        if self.tracer is not None:
-            self.tracer.emit("launch", now, device=self.device_id,
-                             members=list(outcome.members),
-                             cycles=outcome.cycles,
-                             group_index=len(self.groups), failed=failed)
+        self.tracer.emit("launch", now, device=self.device_id,
+                         members=list(outcome.members),
+                         cycles=outcome.cycles,
+                         group_index=len(self.groups), failed=failed)
         self.groups.append(ScheduledGroup(start_cycle=now, outcome=outcome))
         self.busy_cycles += outcome.cycles
         self.completion_cycle = now + outcome.cycles
         self._running = list(outcome.members)
         self._inflight_failed = failed
 
-    def complete(self, ctx: PolicyContext) -> GroupOutcome:
+    def complete(self) -> GroupOutcome:
         """Retire the in-flight group at its completion cycle."""
         if not self.busy:
             raise RuntimeError(
@@ -162,16 +161,15 @@ class Device:
                 f"through complete_failed()")
         finished_at = self.completion_cycle
         outcome = self.groups[-1].outcome
-        if self.tracer is not None:
-            self.tracer.emit("group_finish", finished_at,
-                             device=self.device_id,
-                             members=list(outcome.members),
-                             group_index=len(self.groups) - 1)
+        self.tracer.emit("group_finish", finished_at,
+                         device=self.device_id,
+                         members=list(outcome.members),
+                         group_index=len(self.groups) - 1)
         self.completion_cycle = None
         done = set(self._running)
         self._running = []
         self.resident = [e for e in self.resident if e[0] not in done]
-        self.policy.on_group_finish(outcome, finished_at, ctx)
+        self.policy.on_group_finish(outcome, finished_at, self.ctx)
         return outcome
 
     def complete_failed(self) -> List[Entry]:
@@ -193,11 +191,10 @@ class Device:
                 f"group")
         scheduled = self.groups.pop()
         outcome = scheduled.outcome
-        if self.tracer is not None:
-            self.tracer.emit("group_failed", self.completion_cycle,
-                             device=self.device_id,
-                             members=list(outcome.members),
-                             reason="transient")
+        self.tracer.emit("group_failed", self.completion_cycle,
+                         device=self.device_id,
+                         members=list(outcome.members),
+                         reason="transient")
         self.lost_cycles += outcome.cycles
         self.failed_groups.append(FailedGroup(
             start_cycle=scheduled.start_cycle,
@@ -227,9 +224,8 @@ class Device:
                                f"already DOWN")
         self.up = False
         self._down_since = now
-        if self.tracer is not None:
-            self.tracer.emit("fault", now, device=self.device_id,
-                             inflight=list(self._running))
+        self.tracer.emit("fault", now, device=self.device_id,
+                         inflight=list(self._running))
         displaced: List[Entry] = []
         if self.busy:
             scheduled = self.groups.pop()
@@ -267,9 +263,8 @@ class Device:
         self.down_cycles += now - self._down_since
         self._down_since = None
         self.policy = policy
-        if self.tracer is not None:
-            self.tracer.emit("recover", now, device=self.device_id)
-            self.policy.tracer = self.tracer
+        policy.tracer = self.tracer
+        self.tracer.emit("recover", now, device=self.device_id)
 
     def close_downtime(self, at: int) -> None:
         """Book the trailing outage of a still-DOWN device at end of run."""

@@ -192,10 +192,6 @@ class FaultPlan:
         """
         self._validate(num_devices)
 
-    def has_future_up(self, index: int) -> bool:
-        """True when any event at or after `index` brings a device UP."""
-        return any(ev.kind == "up" for ev in self.events[index:])
-
     def group_fails(self, members: Sequence[str],
                     attempts: Sequence[int]) -> bool:
         """Transient-failure decision for one launch.

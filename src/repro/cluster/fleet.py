@@ -14,14 +14,15 @@ time the loop
    and simulates all groups launched at this instant as **one batch**
    through the executor.
 
-Step 3 is where the :class:`~repro.runtime.executors.ParallelExecutor`
-earns its keep: a group's simulation result depends only on its
-membership, so the same-instant launches (all N devices at a burst,
-several devices after simultaneous completions) fan out across worker
-processes and merge back in device-id order — results are
-bit-identical for any worker count, because every *decision* (placement,
-group formation, event ordering) happens on this loop's clock, never in
-a worker.
+A group's simulation result depends only on its membership, so a
+:class:`~repro.runtime.executors.ParallelExecutor` can fan a batch out
+across worker processes and merge it back in device-id order — results
+are bit-identical for any worker count, because every *decision*
+(placement, group formation, event ordering) happens on this loop's
+clock, never in a worker.  The fan-out pays only at instants that
+launch several groups (batch or bursty arrivals); under spread-out
+arrivals nearly every batch holds one group, and a pool then adds
+process round trips for nothing.
 
 Per-application lifecycles come back as :class:`FleetAppRecord` (an
 :class:`~repro.runtime.engine.AppRecord` plus the device id), so the
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.gpusim import GPUConfig
 
 from repro.core.policies import PolicyContext
-from repro.obs import MetricsRegistry, Telemetry, phase_of
+from repro.obs import MetricsRegistry, Telemetry, instruments, phase_of
 from repro.runtime.engine import AppRecord, Arrival, ScheduledGroup
 from repro.runtime.executors import (DEFAULT_MAX_CYCLES, Executor,
                                      SerialExecutor)
@@ -73,10 +74,8 @@ class DeviceOutcome:
 
     ``config_name`` is the :attr:`GPUConfig.name` of the device that
     produced this timeline — the key of the per-device-class fleet
-    metrics; empty when the caller never attached per-device contexts
-    (then every device ran the fleet-wide config).  ``lost_cycles`` /
-    ``down_cycles`` / ``failed_groups`` stay zero/empty on fault-free
-    runs.
+    metrics.  ``lost_cycles`` / ``down_cycles`` / ``failed_groups``
+    stay zero/empty on fault-free runs.
     """
 
     device_id: int
@@ -161,8 +160,8 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
     and interference matrix are all measured per config).  A device's
     policy hooks see its own context, config-aware placements read it
     through :attr:`Device.ctx`, and every group simulates on its
-    device's configuration.  ``None`` (the default) runs every device
-    on `ctx` — the homogeneous case, bit-identical to earlier behavior.
+    device's configuration.  ``None`` (the default) hands every device
+    `ctx` — the homogeneous case.
 
     `faults` merges a :class:`~repro.cluster.faults.FaultPlan` onto the
     virtual clock.  Within one instant events apply in a fixed order:
@@ -204,25 +203,19 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
         raise ValueError("arrival names must be unique within a stream")
     if executor is None:
         executor = SerialExecutor()
-    events: Tuple[FaultEvent, ...] = ()
-    if faults is not None:
-        faults.validate_for(num_devices)
-        events = faults.events
+    if faults is None:
+        faults = FaultPlan()
+    faults.validate_for(num_devices)
+    events = faults.events
+    if device_contexts is None:
+        device_contexts = [ctx] * num_devices
 
-    devices = [Device(i, policy_factory(i),
-                      ctx=device_contexts[i] if device_contexts else None)
+    tracer, metrics, profiler = instruments(telemetry)
+    devices = [Device(i, policy_factory(i), device_contexts[i])
                for i in range(num_devices)]
-
-    tracer = telemetry.tracer if telemetry is not None else None
-    metrics = telemetry.metrics if telemetry is not None else None
-    profiler = telemetry.profiler if telemetry is not None else None
-    if tracer is not None:
-        for d in devices:
-            d.tracer = tracer
-            d.policy.tracer = tracer
-
-    def ctx_of(device: Device) -> PolicyContext:
-        return device.ctx if device.ctx is not None else ctx
+    for d in devices:
+        d.tracer = tracer
+        d.policy.tracer = tracer
 
     now = 0
     i = 0
@@ -253,20 +246,18 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
             return
         with phase_of(profiler, "placement"):
             device = placement.choose(entry, now, up, ctx)
-        if tracer is not None:
-            # Candidate scores = the load state placement ranks on
-            # (resident count, waiting depth, cycles until free) for
-            # every UP device, so a trace explains *why* this device
-            # won under the load-based policies.
-            tracer.emit("placement", now, app=entry[0],
-                        device=device.device_id,
-                        candidates=[{"device": d.device_id,
-                                     "load": d.load(),
-                                     "waiting": d.waiting_count,
-                                     "busy": d.remaining_busy(now)}
-                                    for d in up])
-        if metrics is not None:
-            metrics.counter("fleet.placements").inc()
+        # Candidate scores = the load state placement ranks on (resident
+        # count, waiting depth, cycles until free) for every UP device,
+        # so a trace explains *why* this device won under the load-based
+        # policies.
+        tracer.emit("placement", now, app=entry[0],
+                    device=device.device_id,
+                    candidates=[{"device": d.device_id,
+                                 "load": d.load(),
+                                 "waiting": d.waiting_count,
+                                 "busy": d.remaining_busy(now)}
+                                for d in up])
+        metrics.counter("fleet.placements").inc()
         if not (0 <= device.device_id < len(devices)
                 and devices[device.device_id] is device):
             raise RuntimeError(
@@ -277,7 +268,7 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                 f"placement {placement.name!r} routed {entry[0]!r} to "
                 f"DOWN device {device.device_id}")
         assignments[entry[0]] = device.device_id
-        device.assign(entry, now, ctx_of(device))
+        device.assign(entry, now)
 
     def displace(entries: List[Entry]) -> None:
         """Book a device failure's displaced work for re-placement."""
@@ -289,10 +280,8 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                 retry_counts[name] = retry_counts.get(name, 0) + 1
                 records.pop(name, None)
                 active.discard(name)
-        if tracer is not None:
-            for name, _spec in entries:
-                tracer.emit("requeue", now, app=name, reason="device-down")
-        if metrics is not None and entries:
+            tracer.emit("requeue", now, app=name, reason="device-down")
+        if entries:
             metrics.counter("fleet.requeued").inc(len(entries))
         requeue.extend(entries)
 
@@ -308,11 +297,9 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                     f"{verdict!r}; expected one of {list(VERDICTS)}")
             if verdict == "defer" and defers >= admission.max_defers:
                 verdict = "reject"
-            if tracer is not None:
-                tracer.emit("admission", now, app=a.name, verdict=verdict,
-                            policy=admission.name, defers=defers)
-            if metrics is not None:
-                metrics.counter(f"admission.{verdict}").inc()
+            tracer.emit("admission", now, app=a.name, verdict=verdict,
+                        policy=admission.name, defers=defers)
+            metrics.counter(f"admission.{verdict}").inc()
             if verdict == "reject":
                 rejected.append(RejectedApp(
                     name=a.name, arrival_cycle=a.cycle, cycle=now,
@@ -336,14 +323,13 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                         retry_counts[name] = retry_counts.get(name,
                                                               0) + 1
                         active.discard(name)
-                        if tracer is not None:
-                            tracer.emit("requeue", now, app=name,
-                                        reason="transient")
-                    if metrics is not None and entries:
+                        tracer.emit("requeue", now, app=name,
+                                    reason="transient")
+                    if entries:
                         metrics.counter("fleet.requeued").inc(len(entries))
                     requeue.extend(entries)
                 else:
-                    device.complete(ctx_of(device))
+                    device.complete()
 
         # 1b) apply fault events due at `now` (after completions: a
         #     group finishing exactly at the outage still retires).
@@ -371,11 +357,8 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
             a = ordered[i]
             i += 1
             arrival_cycle[a.name] = a.cycle
-            if tracer is not None:
-                tracer.emit("arrival", now, app=a.name,
-                            arrival_cycle=a.cycle)
-            if metrics is not None:
-                metrics.counter("fleet.arrivals").inc()
+            tracer.emit("arrival", now, app=a.name, arrival_cycle=a.cycle)
+            metrics.counter("fleet.arrivals").inc()
             deliver(a, 0)
 
         # 3) launch on every idle UP device; simulate this instant's
@@ -385,7 +368,7 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
             if device.busy or not device.up:
                 continue
             with phase_of(profiler, "solver"):
-                group = device.next_group(now, ctx_of(device))
+                group = device.next_group(now)
             if group is None:
                 continue
             for name, _spec in group.members:
@@ -406,22 +389,20 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
             launches.append((device, group))
         if launches:
             # Every group simulates on its launching device's own
-            # configuration (the fleet-wide one when homogeneous); the
-            # instant's batch fans out as one job list.
+            # configuration; the instant's batch fans out as one job list.
             with phase_of(profiler, "simulate"):
                 outcomes = executor.run_device_groups(
-                    [(g, ctx_of(d).config, ctx_of(d).smra_params)
+                    [(g, d.ctx.config, d.ctx.smra_params)
                      for d, g in launches],
                     max_cycles, backend=ctx.backend)
             for (device, _group), outcome in zip(launches, outcomes):
                 members = list(outcome.members)
-                failed = faults is not None and faults.group_fails(
+                failed = faults.group_fails(
                     members, [retry_counts.get(m, 0) for m in members])
                 device.launch(outcome, now, failed=failed)
-                if metrics is not None:
-                    metrics.counter("fleet.launches").inc()
-                    metrics.histogram("fleet.group_cycles").observe(
-                        outcome.cycles)
+                metrics.counter("fleet.launches").inc()
+                metrics.histogram("fleet.group_cycles").observe(
+                    outcome.cycles)
                 active.update(members)
                 if failed:
                     continue  # no records: the attempt will requeue
@@ -455,9 +436,7 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
                 # is ahead — drain gracefully, recording the stranded
                 # applications instead of raising.
                 for name, _spec in requeue:
-                    if tracer is not None:
-                        tracer.emit("reject", now, app=name,
-                                    reason="no-device")
+                    tracer.emit("reject", now, app=name, reason="no-device")
                     rejected.append(RejectedApp(
                         name=name, arrival_cycle=arrival_cycle[name],
                         cycle=now, reason="no-device",
@@ -474,20 +453,19 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
     for device in devices:
         device.close_downtime(now)
 
-    if metrics is not None:
-        # Fold per-device derived counters into the run registry in
-        # device-id order — the same serial commit order every other
-        # merge in this loop uses, so the registry is identical at any
-        # worker count.
-        for d in devices:
-            per_device = MetricsRegistry()
-            per_device.counter("device.groups").inc(len(d.groups))
-            per_device.counter("device.busy_cycles").inc(d.busy_cycles)
-            per_device.counter("device.lost_cycles").inc(d.lost_cycles)
-            per_device.counter("device.down_cycles").inc(d.down_cycles)
-            metrics.merge(per_device)
-        metrics.gauge("fleet.makespan").set(now)
-        metrics.gauge("fleet.devices").set(len(devices))
+    # Fold per-device derived counters into the run registry in
+    # device-id order — the same serial commit order every other merge
+    # in this loop uses, so the registry is identical at any worker
+    # count.
+    for d in devices:
+        per_device = MetricsRegistry()
+        per_device.counter("device.groups").inc(len(d.groups))
+        per_device.counter("device.busy_cycles").inc(d.busy_cycles)
+        per_device.counter("device.lost_cycles").inc(d.lost_cycles)
+        per_device.counter("device.down_cycles").inc(d.down_cycles)
+        metrics.merge(per_device)
+    metrics.gauge("fleet.makespan").set(now)
+    metrics.gauge("fleet.devices").set(len(devices))
 
     with phase_of(profiler, "merge"):
         return FleetOutcome(
@@ -497,8 +475,7 @@ def run_fleet(arrivals: Sequence[Arrival], placement: PlacementPolicy,
             devices=[DeviceOutcome(
                 device_id=d.device_id, policy=d.policy.name,
                 groups=d.groups, busy_cycles=d.busy_cycles,
-                config_name=(d.config.name if d.config is not None
-                             else ""),
+                config_name=d.config.name,
                 lost_cycles=d.lost_cycles, down_cycles=d.down_cycles,
                 failed_groups=d.failed_groups)
                 for d in devices],

@@ -23,10 +23,9 @@ Three policies, in increasing awareness:
   resident class mix the Fig. 3.4 interference matrix predicts to
   degrade the arrival least (additive model of
   :class:`~repro.core.interference.InterferenceModel`), breaking ties
-  like least-loaded.  In a heterogeneous fleet each device's *own*
-  context supplies the matrix and the classification, so the score of
-  a candidate device uses the slowdowns measured on that device's
-  configuration.  Degrades to least-loaded when any device lacks an
+  like least-loaded.  Each device's *own* context supplies the matrix
+  and the classification, so the score of a candidate device uses the
+  slowdowns measured on that device's configuration.  Degrades to least-loaded when any device lacks an
   interference model.
 
 All three are deterministic: same arrivals + same device states → same
@@ -72,12 +71,6 @@ class RoundRobinPlacement(PlacementPolicy):
         return device
 
 
-def _capability(device: Device) -> float:
-    """Peak thread-instructions/cycle of the device (1.0 when unknown)."""
-    config = device.config
-    return config.peak_ipc if config is not None else 1.0
-
-
 def _least_loaded_key(device: Device,
                       now: int) -> Tuple[float, int, int, int]:
     """Capability-scaled join-shortest-queue ordering.
@@ -88,8 +81,8 @@ def _least_loaded_key(device: Device,
     as the classic least-loaded rule did.
     """
     load = device.load()
-    return (load / _capability(device), load, device.remaining_busy(now),
-            device.device_id)
+    return (load / device.config.peak_ipc, load,
+            device.remaining_busy(now), device.device_id)
 
 
 class LeastLoadedPlacement(PlacementPolicy):
@@ -111,9 +104,8 @@ class InterferenceAwarePlacement(PlacementPolicy):
     an empty device (score exactly 1.0) still wins over a loaded device
     with a benign mix.
 
-    In a heterogeneous fleet every device carries its own context
-    (:attr:`Device.ctx`), and the score consults **that device's**
-    interference matrix, classifying the arrival and the residents with
+    Every device carries its own context (:attr:`Device.ctx`), and the
+    score consults **that device's** interference matrix, classifying the arrival and the residents with
     the device's profiler/thresholds — an application can be class M on
     a little device and MC on a big one, and the slowdown it predicts
     is the one measured on the candidate device's configuration.
@@ -143,28 +135,20 @@ class InterferenceAwarePlacement(PlacementPolicy):
         return cached_class_of(cache, entry, ctx)
 
     def choose(self, entry, now, devices, ctx):
-        def ctx_of(device: Device) -> PolicyContext:
-            return device.ctx if device.ctx is not None else ctx
-
-        # A device with its own context must be scored with its own
-        # matrix — substituting the fleet-wide one would price it with
-        # slowdowns measured on a different configuration.
-        models = [d.ctx.interference if d.ctx is not None
-                  else ctx.interference for d in devices]
-        if any(model is None for model in models):
+        # Each device is scored with its own matrix — the fleet-wide one
+        # would price it with slowdowns measured on another config.
+        if any(d.ctx.interference is None for d in devices):
             return min(devices, key=lambda d: _least_loaded_key(d, now))
 
-        def score(pair):
-            device, model = pair
-            dctx = ctx_of(device)
+        def score(device: Device):
+            dctx = device.ctx
             cls = self._class_of(entry, dctx)
             mix: List[AppClass] = [self._class_of(e, dctx)
                                    for e in device.resident]
-            return ((model.group_slowdown(cls, mix),)
+            return ((dctx.interference.group_slowdown(cls, mix),)
                     + _least_loaded_key(device, now))
 
-        best, _model = min(zip(devices, models), key=score)
-        return best
+        return min(devices, key=score)
 
 
 # -- registry wiring ---------------------------------------------------------

@@ -226,8 +226,3 @@ REGISTRY.register("policies", "profile",
                   lambda nc=2: ProfileBasedPolicy(nc))
 REGISTRY.register("policies", "ilp", lambda nc=2: ILPPolicy(nc))
 REGISTRY.register("policies", "ilp-smra", lambda nc=2: ILPSMRAPolicy(nc))
-
-
-def batch_policy(key: str, nc: int = 2) -> Policy:
-    """Build the batch policy registered under `key`."""
-    return REGISTRY.create("policies", key, nc)

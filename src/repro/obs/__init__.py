@@ -1,8 +1,10 @@
 """Deterministic observability: tracing, metrics, profiling.
 
 Three instruments, one bundle (:class:`Telemetry`), near-zero overhead
-when off — trace and metric emission sites are guarded by a plain
-``is not None`` check, and profiled phases go through
+when off.  Loops take their instruments from :func:`instruments`, which
+stands a no-op :class:`Tracer` and a throwaway :class:`MetricsRegistry`
+in for the missing ones, so trace and metric emission sites run
+unconditionally; profiled phases go through
 :func:`~repro.obs.profiling.phase_of`, a shared no-op context when no
 profiler is attached:
 
@@ -24,7 +26,7 @@ canonicalized away by :class:`~repro.api.scenario.TelemetrySpec`),
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import REGISTRY
 
@@ -37,7 +39,7 @@ from .trace import (EVENT_KINDS, FLEET_PID, TRACE_FORMATS,
                     render_trace, write_trace)
 
 __all__ = [
-    "Telemetry", "make_telemetry",
+    "Telemetry", "make_telemetry", "instruments",
     "Tracer", "RecordingTracer", "TraceEvent", "EVENT_KINDS",
     "TRACE_FORMATS", "TRACE_SCHEMA_VERSION", "FLEET_PID",
     "export_jsonl", "export_chrome", "render_trace", "write_trace",
@@ -109,6 +111,24 @@ class Telemetry:
         if self.profiler is not None:
             out["profile"] = self.profiler.to_dict()
         return out
+
+
+def instruments(telemetry: Optional[Telemetry]
+                ) -> Tuple[Tracer, MetricsRegistry, Optional[PhaseProfiler]]:
+    """The run's ``(tracer, metrics, profiler)``, stand-ins for the gaps.
+
+    A missing tracer becomes the no-op base :class:`Tracer` and missing
+    metrics a throwaway :class:`MetricsRegistry`, so emission sites
+    never ask whether telemetry is attached.  The profiler stays
+    ``None``: :func:`phase_of` already handles that.  (Test the fields
+    with ``is None``: an empty recording tracer or registry is falsy.)
+    """
+    if telemetry is None:
+        telemetry = Telemetry()
+    tracer = Tracer() if telemetry.tracer is None else telemetry.tracer
+    metrics = (MetricsRegistry() if telemetry.metrics is None
+               else telemetry.metrics)
+    return tracer, metrics, telemetry.profiler
 
 
 # -- registry wiring ---------------------------------------------------------

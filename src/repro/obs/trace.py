@@ -88,12 +88,10 @@ class TraceEvent:
 class Tracer:
     """Tracer protocol: loops call :meth:`emit`, nothing else.
 
-    The base class is also the explicit no-op — every loop guards its
-    emissions with ``if tracer is not None`` instead, so the base class
-    mostly documents the interface.
+    The base class is also the no-op: an untraced run emits into a
+    plain ``Tracer()`` (see :func:`repro.obs.instruments`), so every
+    emission site calls :meth:`emit` unconditionally.
     """
-
-    enabled = False
 
     def emit(self, kind: str, cycle: int, device: Optional[int] = None,
              app: str = "", **data: Any) -> None:
@@ -107,8 +105,6 @@ class RecordingTracer(Tracer):
     is the canonical order: non-decreasing per device, globally ordered
     by the coordinating loop's virtual clock.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []

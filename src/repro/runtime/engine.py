@@ -25,7 +25,7 @@ from repro.gpusim import GPUConfig, KernelSpec
 
 from repro.core.policies import Policy, PolicyContext, Queue
 from repro.core.scheduler import GroupOutcome, QueueOutcome
-from repro.obs import Telemetry, phase_of
+from repro.obs import Telemetry, instruments, phase_of
 
 from .executors import DEFAULT_MAX_CYCLES, Executor, SerialExecutor
 from .online import OnlinePolicy
@@ -151,9 +151,7 @@ def drain_queue(queue: Queue, policy: Policy, ctx: PolicyContext,
     """
     if executor is None:
         executor = SerialExecutor()
-    tracer = telemetry.tracer if telemetry is not None else None
-    metrics = telemetry.metrics if telemetry is not None else None
-    profiler = telemetry.profiler if telemetry is not None else None
+    tracer, metrics, profiler = instruments(telemetry)
 
     with phase_of(profiler, "solver"):
         planned = policy.plan(queue, ctx)
@@ -162,19 +160,14 @@ def drain_queue(queue: Queue, policy: Policy, ctx: PolicyContext,
             [(g, ctx.config, ctx.smra_params) for g in planned],
             max_cycles, backend=ctx.backend)
 
-    if tracer is not None or metrics is not None:
-        now = 0
-        for index, outcome in enumerate(outcomes):
-            if tracer is not None:
-                tracer.emit("launch", now, members=list(outcome.members),
-                            cycles=outcome.cycles, group_index=index)
-                tracer.emit("group_finish", now + outcome.cycles,
-                            members=list(outcome.members),
-                            group_index=index)
-            if metrics is not None:
-                metrics.counter("queue.groups").inc()
-                metrics.histogram("queue.group_cycles").observe(
-                    outcome.cycles)
-            now += outcome.cycles
+    now = 0
+    for index, outcome in enumerate(outcomes):
+        tracer.emit("launch", now, members=list(outcome.members),
+                    cycles=outcome.cycles, group_index=index)
+        tracer.emit("group_finish", now + outcome.cycles,
+                    members=list(outcome.members), group_index=index)
+        metrics.counter("queue.groups").inc()
+        metrics.histogram("queue.group_cycles").observe(outcome.cycles)
+        now += outcome.cycles
     return QueueOutcome(policy=policy.name, groups=outcomes,
                         config=ctx.config)

@@ -39,6 +39,7 @@ from repro.core.policies import (EvenPolicy, FCFSPolicy, ILPPolicy,
                                  ILPSMRAPolicy, PlannedGroup, Policy,
                                  PolicyContext, ProfileBasedPolicy,
                                  SerialPolicy, cached_class_of)
+from repro.obs import Tracer
 
 Entry = Tuple[str, KernelSpec]
 
@@ -50,10 +51,10 @@ class OnlinePolicy:
     #: True when the policy's decisions use ctx.interference; callers
     #: (e.g. the CLI) measure the matrix only when a policy needs it.
     needs_interference = False
-    #: Optional :class:`~repro.obs.Tracer` attached by the engine when
-    #: telemetry is on.  Class-level default so pickled/legacy policy
-    #: instances keep working.
-    tracer = None
+    #: The run's :class:`~repro.obs.Tracer`, attached by the fleet loop
+    #: on every run (the no-op base class when the run is untraced).
+    #: Class-level default so a policy driven outside a fleet has one.
+    tracer = Tracer()
 
     def __init__(self):
         self.waiting: List[Entry] = []
@@ -139,9 +140,8 @@ class BatchPolicyAdapter(OnlinePolicy):
                 raise RuntimeError(
                     f"policy {self.name!r} planned no groups for a "
                     f"backlog of {len(self.waiting)} applications")
-            if self.tracer is not None:
-                self.tracer.emit("plan", now, backlog=len(self.waiting),
-                                 groups=len(planned))
+            self.tracer.emit("plan", now, backlog=len(self.waiting),
+                             groups=len(planned))
             self._planned.extend(planned)
             self.waiting.clear()
         if self._planned:

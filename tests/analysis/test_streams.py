@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import (StreamSummary, per_app_slowdown, percentile,
-                            summarize_stream)
+from repro.analysis import (StreamAccumulator, StreamSummary,
+                            per_app_slowdown, percentile, summarize_stream)
 from repro.runtime import AppRecord
 
 
@@ -31,6 +31,25 @@ class TestPercentile:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1], 101)
+
+
+def _folded(outcome, solo_cycles):
+    """The campaign's O(1)-memory fold of one stream's records."""
+    acc = StreamAccumulator()
+    for rec in outcome.records.values():
+        acc.push(rec.arrival_cycle, rec.start_cycle, rec.finish_cycle,
+                 solo_cycles[rec.name])
+    metrics = acc.metrics()
+    del metrics["antt_variance"]
+    return metrics
+
+
+def _scorecard(summary):
+    """The figures of a StreamSummary that the fold also produces."""
+    keys = ["apps", "antt", "stp", "service_slowdown"] + [
+        f"{kind}_p{q}" for kind in ("wait", "latency")
+        for q in StreamAccumulator.QUANTILES]
+    return {key: getattr(summary, key) for key in keys}
 
 
 class _FakeOutcome:
@@ -102,15 +121,11 @@ class TestSummarizeStream:
 
     def test_empty_streaming_matches_in_memory(self):
         exact = summarize_stream(_FakeOutcome({}, 0), {})
-        stream = summarize_stream(_FakeOutcome({}, 0), {},
-                                  streaming=True)
-        assert stream == exact
+        assert _folded(_FakeOutcome({}, 0), {}) == _scorecard(exact)
 
     def test_streaming_matches_exact_small_n(self):
         solo = {"a": 100, "b": 100}
         exact = summarize_stream(two_app_outcome(), solo)
-        stream = summarize_stream(two_app_outcome(), solo,
-                                  streaming=True)
         # Below exact_limit the estimators buffer raw values, so the
-        # streaming path is bit-identical, not just approximate.
-        assert stream == exact
+        # campaign fold is bit-identical, not just approximate.
+        assert _folded(two_app_outcome(), solo) == _scorecard(exact)

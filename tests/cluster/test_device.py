@@ -25,20 +25,20 @@ def simulate_group(members, ctx):
 
 class TestLifecycle:
     def test_assign_tracks_residents_and_policy_queue(self, ctx):
-        dev = Device(0, OnlineFCFS(2))
+        dev = Device(0, OnlineFCFS(2), ctx)
         for entry in entries(3):
-            dev.assign(entry, 0, ctx)
+            dev.assign(entry, 0)
         assert dev.load() == 3
         assert dev.pending
         assert not dev.busy
         assert dev.remaining_busy(0) == 0
 
     def test_launch_and_complete(self, ctx):
-        dev = Device(0, OnlineFCFS(2))
+        dev = Device(0, OnlineFCFS(2), ctx)
         apps = entries(2)
         for entry in apps:
-            dev.assign(entry, 0, ctx)
-        group = dev.next_group(0, ctx)
+            dev.assign(entry, 0)
+        group = dev.next_group(0)
         assert [n for n, _ in group.members] == ["app0", "app1"]
         outcome = simulate_group(group.members, ctx)
         dev.launch(outcome, now=100)
@@ -48,7 +48,7 @@ class TestLifecycle:
         assert dev.busy_cycles == outcome.cycles
         # Launched apps remain resident until their group completes.
         assert dev.load() == 2
-        completed = dev.complete(ctx)
+        completed = dev.complete()
         assert completed is outcome
         assert not dev.busy
         assert dev.load() == 0
@@ -56,14 +56,14 @@ class TestLifecycle:
         assert dev.groups[0].start_cycle == 100
 
     def test_complete_retires_only_running_members(self, ctx):
-        dev = Device(0, OnlineFCFS(1))
+        dev = Device(0, OnlineFCFS(1), ctx)
         apps = entries(2)
         for entry in apps:
-            dev.assign(entry, 0, ctx)
-        group = dev.next_group(0, ctx)
+            dev.assign(entry, 0)
+        group = dev.next_group(0)
         dev.launch(simulate_group(group.members, ctx), now=0)
         assert dev.load() == 2
-        dev.complete(ctx)
+        dev.complete()
         # app1 is still waiting on this device.
         assert dev.load() == 1
         assert dev.resident[0][0] == "app1"
@@ -71,26 +71,26 @@ class TestLifecycle:
 
 
 class TestGuards:
-    def test_negative_device_id_rejected(self):
+    def test_negative_device_id_rejected(self, ctx):
         with pytest.raises(ValueError):
-            Device(-1, OnlineFCFS(2))
+            Device(-1, OnlineFCFS(2), ctx)
 
     def test_next_group_while_busy_rejected(self, ctx):
-        dev = Device(0, OnlineFCFS(2))
-        dev.assign(entries(1)[0], 0, ctx)
-        group = dev.next_group(0, ctx)
+        dev = Device(0, OnlineFCFS(2), ctx)
+        dev.assign(entries(1)[0], 0)
+        group = dev.next_group(0)
         dev.launch(simulate_group(group.members, ctx), now=0)
         with pytest.raises(RuntimeError, match="busy"):
-            dev.next_group(0, ctx)
+            dev.next_group(0)
 
     def test_double_launch_rejected(self, ctx):
-        dev = Device(0, OnlineFCFS(2))
-        dev.assign(entries(1)[0], 0, ctx)
-        outcome = simulate_group(dev.next_group(0, ctx).members, ctx)
+        dev = Device(0, OnlineFCFS(2), ctx)
+        dev.assign(entries(1)[0], 0)
+        outcome = simulate_group(dev.next_group(0).members, ctx)
         dev.launch(outcome, now=0)
         with pytest.raises(RuntimeError, match="busy"):
             dev.launch(outcome, now=0)
 
     def test_complete_while_idle_rejected(self, ctx):
         with pytest.raises(RuntimeError, match="complete"):
-            Device(0, OnlineFCFS(2)).complete(ctx)
+            Device(0, OnlineFCFS(2), ctx).complete()

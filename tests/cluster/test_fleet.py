@@ -189,6 +189,22 @@ class TestHeterogeneousFleet:
                              device_contexts=[ctx, ctx])
         assert fingerprint(classic) == fingerprint(explicit)
 
+    def test_omitted_contexts_label_devices_with_the_fleet_config(
+            self, small_cfg):
+        """Every device carries its context: omitting `device_contexts`
+        is the same run as listing `ctx` once per device."""
+        ctx = make_context(small_cfg)
+        arrivals = arrivals_every(100, 5)
+        omitted = run_fleet(arrivals, LeastLoadedPlacement(),
+                            fcfs_factory(), ctx, num_devices=3)
+        listed = run_fleet(arrivals, LeastLoadedPlacement(),
+                           fcfs_factory(), ctx, num_devices=3,
+                           device_contexts=[ctx] * 3)
+        assert ([d.config_name for d in omitted.devices]
+                == [d.config_name for d in listed.devices]
+                == [ctx.config.name] * 3)
+        assert fingerprint(omitted) == fingerprint(listed)
+
 
 class TestGuards:
     def test_zero_devices_rejected(self, ctx):
@@ -242,7 +258,7 @@ class TestGuards:
             name = "rogue"
 
             def choose(self, entry, now, devices, ctx):
-                return Device(0, OnlineFCFS(2))  # not in the fleet
+                return Device(0, OnlineFCFS(2), ctx)  # not in the fleet
 
         with pytest.raises(RuntimeError, match="outside the fleet"):
             run_fleet(arrivals_every(0, 1), Rogue(), fcfs_factory(), ctx,

@@ -18,8 +18,8 @@ def ctx(small_cfg):
     return make_context(small_cfg)
 
 
-def fleet(n):
-    return [Device(i, OnlineFCFS(2)) for i in range(n)]
+def fleet(n, ctx):
+    return [Device(i, OnlineFCFS(2), ctx) for i in range(n)]
 
 
 def entry(name, seed=0):
@@ -39,30 +39,30 @@ MODEL = InterferenceModel(slowdown=(
 
 class TestRoundRobin:
     def test_cycles_through_devices(self, ctx):
-        devices = fleet(3)
+        devices = fleet(3, ctx)
         placement = RoundRobinPlacement()
         chosen = [placement.choose(entry(f"a{i}", i), 0, devices, ctx)
                   .device_id for i in range(7)]
         assert chosen == [0, 1, 2, 0, 1, 2, 0]
 
     def test_ignores_load(self, ctx):
-        devices = fleet(2)
-        devices[0].assign(entry("busy0"), 0, ctx)
+        devices = fleet(2, ctx)
+        devices[0].assign(entry("busy0"), 0)
         placement = RoundRobinPlacement()
         assert placement.choose(entry("x"), 0, devices, ctx).device_id == 0
 
 
 class TestLeastLoaded:
     def test_prefers_emptiest_queue(self, ctx):
-        devices = fleet(3)
-        devices[0].assign(entry("a"), 0, ctx)
-        devices[0].assign(entry("b", 1), 0, ctx)
-        devices[1].assign(entry("c", 2), 0, ctx)
+        devices = fleet(3, ctx)
+        devices[0].assign(entry("a"), 0)
+        devices[0].assign(entry("b", 1), 0)
+        devices[1].assign(entry("c", 2), 0)
         placement = LeastLoadedPlacement()
         assert placement.choose(entry("x", 3), 0, devices, ctx).device_id == 2
 
     def test_tie_breaks_by_soonest_free_then_id(self, ctx):
-        devices = fleet(2)
+        devices = fleet(2, ctx)
         # Equal load; device 1 frees sooner than device 0.
         devices[0].completion_cycle = 500
         devices[1].completion_cycle = 100
@@ -83,8 +83,8 @@ class TestCapabilityScaling:
     def test_equal_loads_prefer_the_bigger_device(self, small_cfg, ctx):
         big = self.device_with_config(1, small_cfg.with_sms(8))
         little = self.device_with_config(0, small_cfg.with_sms(2))
-        little.assign(entry("a"), 0, little.ctx)
-        big.assign(entry("b", 1), 0, big.ctx)
+        little.assign(entry("a"), 0)
+        big.assign(entry("b", 1), 0)
         placement = LeastLoadedPlacement()
         # 1 resident / 8 SMs beats 1 resident / 2 SMs despite the id.
         assert placement.choose(entry("x", 2), 0, [little, big],
@@ -98,15 +98,15 @@ class TestCapabilityScaling:
         for i in range(5):
             device = placement.choose(entry(f"s{i}", i), 0,
                                       [little, big], ctx)
-            device.assign(entry(f"s{i}", i), 0, device.ctx)
+            device.assign(entry(f"s{i}", i), 0)
             chosen.append(device.device_id)
         # Empty fleet ties to device 0, then the 4x device soaks up the
         # rest until the ratio evens out.
         assert chosen == [0, 1, 1, 1, 1]
 
     def test_devices_without_configs_rank_by_raw_load(self, ctx):
-        devices = fleet(2)
-        devices[0].assign(entry("a"), 0, ctx)
+        devices = fleet(2, ctx)
+        devices[0].assign(entry("a"), 0)
         placement = LeastLoadedPlacement()
         assert placement.choose(entry("x", 1), 0, devices,
                                 ctx).device_id == 1
@@ -116,10 +116,10 @@ class TestInterferenceAware:
     def test_avoids_hostile_resident_mix(self, ctx):
         """An M app must dodge the device holding another M app."""
         ctx.interference = MODEL
-        devices = fleet(2)
+        devices = fleet(2, ctx)
         classes = {"m0": AppClass.M, "a0": AppClass.A, "new": AppClass.M}
-        devices[0].assign(entry("m0"), 0, ctx)
-        devices[1].assign(entry("a0", 1), 0, ctx)
+        devices[0].assign(entry("m0"), 0)
+        devices[1].assign(entry("a0", 1), 0)
         placement = InterferenceAwarePlacement(classes=classes)
         assert placement.choose(entry("new", 2), 0, devices,
                                 ctx).device_id == 1
@@ -127,9 +127,9 @@ class TestInterferenceAware:
     def test_empty_device_beats_benign_mix(self, ctx):
         """Score ties (A next to anything = 1.0) fall back to load."""
         ctx.interference = MODEL
-        devices = fleet(2)
+        devices = fleet(2, ctx)
         classes = {"a0": AppClass.A, "new": AppClass.A}
-        devices[0].assign(entry("a0"), 0, ctx)
+        devices[0].assign(entry("a0"), 0)
         placement = InterferenceAwarePlacement(classes=classes)
         assert placement.choose(entry("new", 1), 0, devices,
                                 ctx).device_id == 1
@@ -137,20 +137,20 @@ class TestInterferenceAware:
     def test_additive_model_penalizes_crowds(self, ctx):
         """Two mild aggressors outweigh one, per the additive model."""
         ctx.interference = MODEL
-        devices = fleet(2)
+        devices = fleet(2, ctx)
         classes = {"mc0": AppClass.MC, "mc1": AppClass.MC,
                    "m0": AppClass.M, "new": AppClass.M}
-        devices[0].assign(entry("mc0"), 0, ctx)
-        devices[0].assign(entry("mc1", 1), 0, ctx)   # S = 1.5+1.5-1 = 2.0
-        devices[1].assign(entry("m0", 2), 0, ctx)    # S = 3.0
+        devices[0].assign(entry("mc0"), 0)
+        devices[0].assign(entry("mc1", 1), 0)   # S = 1.5+1.5-1 = 2.0
+        devices[1].assign(entry("m0", 2), 0)    # S = 3.0
         placement = InterferenceAwarePlacement(classes=classes)
         assert placement.choose(entry("new", 3), 0, devices,
                                 ctx).device_id == 0
 
     def test_degrades_to_least_loaded_without_model(self, ctx):
         assert ctx.interference is None
-        devices = fleet(2)
-        devices[0].assign(entry("a"), 0, ctx)
+        devices = fleet(2, ctx)
+        devices[0].assign(entry("a"), 0)
         placement = InterferenceAwarePlacement(
             classes={"a": AppClass.M, "x": AppClass.M})
         assert placement.choose(entry("x", 1), 0, devices, ctx).device_id == 1
@@ -170,8 +170,8 @@ class TestInterferenceAware:
         devices = [Device(0, OnlineFCFS(2), ctx=ctx0),
                    Device(1, OnlineFCFS(2), ctx=ctx1)]
         classes = {"m0": AppClass.M, "m1": AppClass.M, "new": AppClass.M}
-        devices[0].assign(entry("m0"), 0, ctx0)
-        devices[1].assign(entry("m1", 1), 0, ctx1)
+        devices[0].assign(entry("m0"), 0)
+        devices[1].assign(entry("m1", 1), 0)
         placement = InterferenceAwarePlacement(classes=classes)
         # Same resident class on both sides; only device 1's matrix says
         # co-running M with M is free there.
@@ -197,9 +197,9 @@ class TestInterferenceAware:
         ctx1 = make_context(small_cfg.with_sms(2))  # no matrix
         devices = [Device(0, OnlineFCFS(2), ctx=ctx0),
                    Device(1, OnlineFCFS(2), ctx=ctx1)]
-        devices[0].assign(entry("a0"), 0, ctx0)
-        devices[0].assign(entry("a1", 1), 0, ctx0)
-        devices[1].assign(entry("m0", 2), 0, ctx1)
+        devices[0].assign(entry("a0"), 0)
+        devices[0].assign(entry("a1", 1), 0)
+        devices[1].assign(entry("m0", 2), 0)
         placement = InterferenceAwarePlacement(
             classes={"a0": AppClass.A, "a1": AppClass.A,
                      "m0": AppClass.M, "x": AppClass.M})

@@ -24,7 +24,6 @@ def sample_events():
 class TestTracer:
     def test_base_tracer_is_a_noop(self):
         tracer = Tracer()
-        assert tracer.enabled is False
         assert tracer.emit("launch", 0) is None
 
     def test_recording_tracer_records_in_order(self):

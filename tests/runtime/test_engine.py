@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import EvenPolicy, make_context, run_queue
+from repro.core import EvenPolicy, FCFSPolicy, make_context, run_queue
 from repro.gpusim import small_test_config
+from repro.obs import make_telemetry
 from repro.runtime import (Arrival, BatchPolicyAdapter, OnlineFCFS,
                            OnlinePolicy, run_stream)
 
@@ -97,6 +98,21 @@ class TestOnlineClock:
                                              rec.service_cycles)
             assert out.groups[rec.group_index].start_cycle == \
                 rec.start_cycle
+
+
+class TestTelemetry:
+    def test_untraced_rerun_leaves_earlier_tracer_alone(self, ctx):
+        """A policy object reused for an untraced run must not keep
+        emitting into the tracer of the traced run before it."""
+        arrivals = [Arrival(100 * i, n, s)
+                    for i, (n, s) in enumerate(specs(5).items())]
+        policy = BatchPolicyAdapter(FCFSPolicy(2))
+        telemetry = make_telemetry("trace")
+        run_stream(arrivals, policy, ctx, telemetry=telemetry)
+        recorded = len(telemetry.events)
+        assert any(ev.kind == "plan" for ev in telemetry.events)
+        run_stream(arrivals, policy, ctx)
+        assert len(telemetry.events) == recorded
 
 
 class TestValidation:
